@@ -81,8 +81,10 @@ def emit_plot_data(
 ) -> str:
     """Plot-ready CSV: the ratio curve, entropy convergence, or subdivision cells.
 
-    ``resolution`` sets the grid size for the first two kinds and is ignored
-    for the subdivision listing, which needs the lattice parameters instead.
+    ``resolution`` sets the grid size of the ratio curve and the largest depth
+    of the convergence table, capped at the deepest bit-exchange tree.  It is
+    ignored for the subdivision listing, which needs the lattice parameters
+    instead.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -94,7 +96,7 @@ def emit_plot_data(
             lines.append(f"{v!r},{conv.entropy_ratio(v)!r}")
     elif which == "convergence":
         lines.append("depth,entropy_bits")
-        for depth in range(1, resolution + 1):
+        for depth in range(1, min(resolution, engine.MAX_TREE_DEPTH) + 1):
             rate = engine.sum_rate(engine.bit_exchange_protocol(depth), depth)
             lines.append(f"{depth},{rate!r}")
     elif which == "subdivision":
@@ -126,7 +128,7 @@ def _run_simulate(config: CommandConfig) -> tuple[dict, Optional[str], bool]:
                 for x1, x2 in chunk.tolist():
                     run = engine.run_protocol(tree, x1, x2)
                     fh.write(",".join(str(s) for s in run.messages) + "\n")
-    stats = engine.monte_carlo(tree, samples, config.seed, threads=opts.get("threads"))
+    stats = engine.monte_carlo(tree, samples, config.seed)
     results = {
         "samples": stats.sample_count,
         "mean_bits": stats.mean_bits,
@@ -285,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", default="bit-exchange")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--max-depth", type=int, default=30, dest="max_depth")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--transcripts", type=str, default=None,
                    help="dump one comma-separated transcript per run to this file")
     add_common(p)
@@ -353,18 +354,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _config_from_args(args)
+    start = time.perf_counter()
     try:
         report = dispatch(config)
+        text = render(report, config.fmt)
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render(report, config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)
+    print(f"elapsed: {1e3 * (time.perf_counter() - start):.1f} ms", file=sys.stderr)
     return 1 if report.failed else 0
 
 

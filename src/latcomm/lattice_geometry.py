@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .partition_core import Rect, entropy_bits
+from .protocol_engine import _stopping_rounds
 
 __all__ = [
     "Lattice2D",
@@ -416,21 +417,8 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
             continue
         u1 = (xs[mask] - r.x_lo) / r.width
         u2 = (ys[mask] - r.y_lo) / r.height
-        extra = np.zeros(u1.shape, dtype=np.int64)
-        active = np.ones(u1.shape, dtype=bool)
-        for _ in range(60):  # residual probability 2^-60: negligible
-            if not active.any():
-                break
-            extra[active] += 1
-            b1 = u1[active] >= 0.5
-            b2 = u2[active] >= 0.5
-            u1[active] = np.where(b1, 2.0 * u1[active] - 1.0, 2.0 * u1[active])
-            u2[active] = np.where(b2, 2.0 * u2[active] - 1.0, 2.0 * u2[active])
-            still = np.zeros(u1.shape, dtype=bool)
-            still[active] = b1 == b2
-            active = still
-        idx = np.flatnonzero(mask)
-        rounds[idx] += extra
+        # Bit exchange past 60 agreeing bits has probability 2^-60: negligible.
+        rounds[mask] += _stopping_rounds(u1, u2, 60)
     return float(rounds.sum()) / samples
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -104,6 +105,11 @@ class Rect:
 def cell_probability(r: Rect) -> float:
     """Probability of a cell under the uniform measure on the unit square."""
     return r.area
+
+
+def _is_number(v: object) -> bool:
+    """True for a finite int or float (JSON booleans excluded)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 class TargetFunction(Enum):
@@ -198,13 +204,25 @@ class LabeledPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LabeledPartition":
+        """Partition from its JSON form; malformed input raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
+            raise ValueError('partition JSON must be an object with a "cells" list')
         cells = []
         residual = []
         for entry in data["cells"]:
-            r = Rect(*entry["rect"])
+            if not isinstance(entry, dict) or "rect" not in entry or "label" not in entry:
+                raise ValueError(f'partition cell needs "rect" and "label": {entry!r}')
+            coords = entry["rect"]
+            if not (
+                isinstance(coords, list)
+                and len(coords) == 4
+                and all(_is_number(v) for v in coords)
+            ):
+                raise ValueError(f"cell rect must be 4 finite numbers, got {coords!r}")
+            r = Rect(*coords)
             prob = entry.get("prob")
-            if prob is not None and abs(prob - r.area) > 1e-9:
-                raise ValueError(f"stored prob {prob} inconsistent with {r.as_list()}")
+            if prob is not None and (not _is_number(prob) or abs(prob - r.area) > 1e-9):
+                raise ValueError(f"stored prob {prob!r} inconsistent with {r.as_list()}")
             label = entry["label"]
             if label == "u":
                 residual.append(r)

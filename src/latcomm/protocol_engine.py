@@ -20,9 +20,7 @@ floating point represents exactly; interval walks therefore never drift.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -320,9 +318,8 @@ def rate_matches_partition_entropy(tree: ProtocolTree, max_depth: int) -> bool:
 def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:
     """Deterministic chunked stream of i.i.d. uniform input pairs.
 
-    Chunks are fixed-size and seeded by (seed, chunk index) through a
-    splittable generator, so the stream does not depend on how many workers
-    later consume it.
+    Chunks of 2^16 pairs are each seeded by (seed, chunk index) through a
+    splittable generator, so every chunk can be drawn on its own.
     """
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -356,43 +353,49 @@ def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[int, int]:
     return total_msgs, total_rounds
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("LATCOMM_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
+def _stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int) -> np.ndarray:
+    """Bit-exchange round count of every pair (u1[i], u2[i]) in [0, 1], capped.
+
+    Round k compares bit k of the two binary expansions, so the count is the
+    position of the leading set bit of ``floor(u1 * 2^cap) XOR floor(u2 * 2^cap)``,
+    or ``cap`` when the first ``cap`` bits agree.  The count is exact for
+    ``cap <= 63``: scaling by a power of two and truncating are exact, and a
+    double holds an integer below 2^53 exactly, so frexp's exponent is its bit
+    length; a wider XOR is split into its top bits and its lowest ``cap - 53``
+    bits.  The value 1.0 is read as all one-bits, as repeated doubling reads it.
+    """
+    top = np.uint64((1 << cap) - 1)
+    a = np.minimum(np.ldexp(u1, cap).astype(np.uint64), top)
+    b = np.minimum(np.ldexp(u2, cap).astype(np.uint64), top)
+    diff = a ^ b
+    low = max(cap - 53, 0)
+    _, bit_length = np.frexp((diff >> np.uint64(low)).astype(np.float64))
+    if low:
+        _, low_length = np.frexp((diff & np.uint64((1 << low) - 1)).astype(np.float64))
+        bit_length = np.where(bit_length > 0, bit_length + low, low_length)
+    return np.minimum(cap + 1 - bit_length, cap)
 
 
-def monte_carlo(
-    tree: ProtocolTree,
-    samples: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RunStats:
+def monte_carlo(tree: ProtocolTree, samples: int, seed: int) -> RunStats:
     """Mean message and round counts over i.i.d. uniform input pairs.
 
-    Deterministic given the seed: per-chunk integer tallies are combined in
-    chunk order, so the result is byte-identical for any worker count
-    (``threads`` argument, else the LATCOMM_THREADS environment variable).
+    Deterministic given the seed: the pairs come from :func:`sample_inputs`
+    and per-chunk integer tallies are summed in chunk order.  Bit-exchange
+    trees are counted by a vectorized first-differing-bit kernel, where each
+    round is two messages; other trees are walked pair by pair.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if type(tree.root) is _Leaf:
         return RunStats(samples, 0.0, 0.0, seed)
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def work(j: int) -> tuple[int, int]:
-        n = min(_CHUNK, samples - j * _CHUNK)
-        pairs = np.random.default_rng(children[j]).random((n, 2))
-        return _walk_totals(tree, pairs)
-
-    workers = _resolve_threads(threads)
-    if workers == 1 or n_chunks == 1:
-        results = [work(j) for j in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(n_chunks)))
-    total_msgs = sum(r[0] for r in results)
-    total_rounds = sum(r[1] for r in results)
+    total_msgs = 0
+    total_rounds = 0
+    for pairs in sample_inputs(seed, samples):
+        if tree._expander is _bx_expander:
+            rounds = int(_stopping_rounds(pairs[:, 0], pairs[:, 1], tree.max_depth).sum())
+            msgs = 2 * rounds
+        else:
+            msgs, rounds = _walk_totals(tree, pairs)
+        total_msgs += msgs
+        total_rounds += rounds
     return RunStats(samples, total_msgs / samples, total_rounds / samples, seed)

@@ -59,6 +59,54 @@ def first_differ_round(x1: float, x2: float, cap: int) -> int | None:
     return None
 
 
+def doubling_stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int = 60) -> np.ndarray:
+    """Bit-exchange round counts by repeated doubling, capped at ``cap`` rounds.
+
+    Each pass peels the next binary digit off both values (doubling a float in
+    [0, 1] and subtracting 1 are exact), counts a round, and retires the pairs
+    whose digits differ.  The value 1.0 keeps producing one-bits.
+    """
+    u1 = np.array(u1, dtype=np.float64)
+    u2 = np.array(u2, dtype=np.float64)
+    rounds = np.zeros(u1.shape, dtype=np.int64)
+    active = np.ones(u1.shape, dtype=bool)
+    for _ in range(cap):
+        if not active.any():
+            break
+        rounds[active] += 1
+        b1 = u1[active] >= 0.5
+        b2 = u2[active] >= 0.5
+        u1[active] = np.where(b1, 2.0 * u1[active] - 1.0, 2.0 * u1[active])
+        u2[active] = np.where(b2, 2.0 * u2[active] - 1.0, 2.0 * u2[active])
+        still = np.zeros(u1.shape, dtype=bool)
+        still[active] = b1 == b2
+        active = still
+    return rounds
+
+
+def round_count_by_doubling(sub, samples: int, seed: int) -> float:
+    """Mean round count of the two-round lattice refinement, by the doubling oracle.
+
+    Draws the documented stream (one generator seeded by ``seed``: all x, then
+    all y over the Babai cell) and adds bit-exchange rounds on the
+    cell-normalized coordinates of every point in a crossed cell.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cell = sub.babai_cell
+    xs = rng.random(samples) * cell.width + cell.x_lo
+    ys = rng.random(samples) * cell.height + cell.y_lo
+    rounds = np.ones(samples, dtype=np.int64)
+    for sc in sub.cells:
+        if sc.error_free:
+            continue
+        r = sc.rect
+        inside = (xs >= r.x_lo) & (xs < r.x_hi) & (ys >= r.y_lo) & (ys < r.y_hi)
+        u1 = (xs[inside] - r.x_lo) / r.width
+        u2 = (ys[inside] - r.y_lo) / r.height
+        rounds[inside] += doubling_stopping_rounds(u1, u2, 60)
+    return float(rounds.sum()) / samples
+
+
 def closed_form_truncated_bits(d: int) -> float:
     """Expected transcript entropy of depth-d bit exchange: decided levels plus tail."""
     return math.fsum(2.0**-k * 2 * k for k in range(1, d + 1)) + 2.0**-d * 2 * d

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import time
 
 import pytest
 
 from latcomm import LabeledPartition
+import latcomm.cli as cli_module
 from latcomm.cli import (
     DEFAULT_SEED,
     CommandConfig,
@@ -12,6 +15,8 @@ from latcomm.cli import (
     emit_plot_data,
     main,
 )
+
+from oracles import closed_form_truncated_bits
 
 
 def run_cli(capsys, *argv):
@@ -43,14 +48,13 @@ def test_simulate_json_schema(capsys):
     assert 3.0 < data["mean_bits"] < 5.0
 
 
-def test_outputs_byte_identical_across_runs_and_threads(capsys, monkeypatch):
+def test_outputs_byte_identical_across_runs(capsys):
     args = ("simulate", "--samples", "70000", "--json")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    monkeypatch.setenv("LATCOMM_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert threaded == first
+    _, other_seed, _ = run_cli(capsys, *args, "--seed", "7")
+    assert other_seed != first
 
 
 def test_lattice_rates_csv_and_json(capsys):
@@ -101,8 +105,6 @@ def test_verify_converse_all(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import latcomm.cli as cli_module
-
     def fake_checks(include_oracle=True):
         return {"example1": {}, "thm3": {}, "thm5": {}, "pass": False}
 
@@ -205,3 +207,81 @@ def test_dispatch_reports_inputs_and_elapsed():
     assert report.inputs["v"] == 0.5
     assert report.inputs["seed"] == DEFAULT_SEED
     assert report.elapsed_ms >= 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "converse"),
+        ("lattice-nearest", "--rho", "1", "--theta", "1.2", "--x", "0.1", "--y", "0.2"),
+        ("optimize-ratio",),
+        ("partition-show", "--protocol", "bit-exchange", "--max-depth", "2"),
+    ],
+)
+def test_csv_without_a_table_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: csv output is not defined")
+
+
+def test_elapsed_includes_rendering(capsys, monkeypatch):
+    real_render = cli_module.render
+
+    def slow_render(report, fmt):
+        time.sleep(0.2)
+        return real_render(report, fmt)
+
+    monkeypatch.setattr(cli_module, "render", slow_render)
+    code, _, err = run_cli(capsys, "entropy-ratio", "--v", "0.5", "--json")
+    assert code == 0
+    assert float(re.fullmatch(r"elapsed: ([0-9.]+) ms\n", err).group(1)) >= 200.0
+
+
+def test_stdout_holds_only_the_rendered_report(capsys):
+    code, out, err = run_cli(capsys, "entropy-ratio", "--v", "0.5", "--json")
+    assert code == 0
+    assert out == '{\n  "ratio_bits": 3.0,\n  "v": 0.5\n}\n'
+    assert err.startswith("elapsed: ")
+    code, out, _ = run_cli(capsys, "entropy-ratio", "--v", "0.5", "--format", "csv")
+    assert out == "v,entropy_ratio_bits\n0.5,3.0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '"cells"',
+        "{}",
+        '{"cells": 3}',
+        '{"cells": [7]}',
+        '{"cells": [{"label": "p"}]}',
+        '{"cells": [{"rect": [0, 1, 0, 1]}]}',
+        '{"cells": [{"rect": [0, 1, 0], "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, 1, 2], "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, "1"], "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, null], "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, true], "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, 1e999], "label": "u"}]}',
+        '{"cells": [{"rect": "0 1 0 1", "label": "u"}]}',
+        '{"cells": [{"rect": [0, 1, 0, 1], "label": "u", "prob": "1"}]}',
+    ],
+)
+def test_partition_show_rejects_malformed_json(tmp_path, capsys, text):
+    with pytest.raises(ValueError):
+        LabeledPartition.from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "partition-show", "--in", str(path), "--json")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_plot_data_convergence_default_resolution(capsys):
+    code, out, _ = run_cli(capsys, "plot-data", "--which", "convergence")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "depth,entropy_bits"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(d) for d, _ in rows] == list(range(1, 51))
+    for d, value in rows:
+        assert abs(float(value) - closed_form_truncated_bits(int(d))) < 1e-12

@@ -21,7 +21,12 @@ from latcomm import (
     voronoi_cell,
 )
 
-from oracles import brute_force_nearest, random_corner_cut_lattice, random_superbase_lattice
+from oracles import (
+    brute_force_nearest,
+    random_corner_cut_lattice,
+    random_superbase_lattice,
+    round_count_by_doubling,
+)
 
 HEX = Lattice2D(1.0, math.pi / 3)
 Z2 = Lattice2D(1.0, math.pi / 2)
@@ -271,6 +276,15 @@ def test_simulate_round_count_matches_n_bar():
     mean = simulate_round_count(sub, 200_000, seed=0x5EED)
     assert abs(mean - rates.N_bar) < 0.01
     assert simulate_round_count(sub, 1000, seed=1) == simulate_round_count(sub, 1000, seed=1)
+
+
+def test_simulate_round_count_matches_doubling_oracle():
+    rng = np.random.default_rng(0x1A7)
+    lattices = [HEX, Z2] + [random_corner_cut_lattice(rng) for _ in range(6)]
+    for lat in lattices:
+        sub = babai_subdivision(lat)
+        for seed in (1, 0x5EED, int(rng.integers(1, 2**31))):
+            assert simulate_round_count(sub, 30_000, seed) == round_count_by_doubling(sub, 30_000, seed)
 
 
 def test_subdivision_json_schema():

@@ -20,9 +20,9 @@ from latcomm import (
     trivial_protocol,
     rate_matches_partition_entropy,
 )
-from latcomm.protocol_engine import ProtocolTree
+from latcomm.protocol_engine import ProtocolTree, RunStats, _stopping_rounds, _walk_totals
 
-from oracles import closed_form_truncated_bits, first_differ_round
+from oracles import closed_form_truncated_bits, doubling_stopping_rounds, first_differ_round
 
 unit_floats = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 
@@ -195,13 +195,65 @@ def test_ternary_alphabet_protocol():
     assert t.messages == (1,) and t.stopping_time == 1
 
 
-def test_monte_carlo_deterministic_and_thread_independent():
+def _walked_stats(tree, samples, seed):
+    msgs = rounds = 0
+    for pairs in sample_inputs(seed, samples):
+        m, r = _walk_totals(tree, pairs)
+        msgs += m
+        rounds += r
+    return RunStats(samples, msgs / samples, rounds / samples, seed)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 5, 6, 7, 8, 30, 50])
+@pytest.mark.parametrize("seed, samples", [(0x5EED, 70_000), (7, 1_000), (2**31 - 1, 65_536)])
+def test_monte_carlo_kernel_matches_tree_walk(depth, seed, samples):
+    tree = bit_exchange_protocol(depth)
+    assert monte_carlo(tree, samples, seed) == _walked_stats(tree, samples, seed)
+
+
+def test_monte_carlo_deterministic_reference_value():
     tree = bit_exchange_protocol(30)
-    a = monte_carlo(tree, 150_000, seed=0x5EED, threads=1)
-    b = monte_carlo(tree, 150_000, seed=0x5EED, threads=4)
-    assert a == b
-    c = monte_carlo(tree, 150_000, seed=7, threads=1)
-    assert c != a
+    stats = monte_carlo(tree, 10**6, seed=24301)
+    assert (stats.mean_bits, stats.mean_rounds) == (3.996896, 1.998448)
+    assert monte_carlo(tree, 150_000, seed=0x5EED) == monte_carlo(tree, 150_000, seed=0x5EED)
+    assert monte_carlo(tree, 150_000, seed=7) != monte_carlo(tree, 150_000, seed=0x5EED)
+
+
+def test_monte_carlo_walks_custom_trees():
+    tree = one_round_quadrant_protocol()
+    stats = monte_carlo(tree, 70_000, seed=3)
+    assert stats == _walked_stats(tree, 70_000, 3)
+    # one message when x1 < 1/2, two otherwise
+    assert 1.45 < stats.mean_bits < 1.55 and stats.mean_rounds == 1.0
+
+
+_EDGES = [1.0, 0.0, 1.0 - 2.0**-53, 2.0**-61, 2.0**-70, 0.5, 0.25 + 2.0**-54, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("cap", [1, 4, 30, 50, 53, 54, 60, 63])
+def test_stopping_rounds_matches_doubling_oracle_on_edges(cap):
+    rng = np.random.default_rng(cap)
+    u1 = [a for a in _EDGES for _ in _EDGES]
+    u2 = [b for _ in _EDGES for b in _EDGES]
+    # pairs 2^-55 apart: on [1/8, 1/4) the spacing of doubles is exactly 2^-55
+    near = rng.uniform(0.125, 0.25, 200)
+    u1 += near.tolist()
+    u2 += (near + 2.0**-55).tolist()
+    # equal pairs and independent uniform pairs
+    same = rng.random(100)
+    u1 += same.tolist() + rng.random(500).tolist()
+    u2 += same.tolist() + rng.random(500).tolist()
+    u1, u2 = np.array(u1), np.array(u2)
+    assert np.all(near + 2.0**-55 - near == 2.0**-55)
+    got = _stopping_rounds(u1, u2, cap)
+    assert got.tolist() == doubling_stopping_rounds(u1, u2, cap).tolist()
+    assert got.tolist() == _stopping_rounds(u2, u1, cap).tolist()
+
+
+def test_stopping_rounds_reads_one_as_all_one_bits():
+    got = _stopping_rounds(np.array([1.0, 1.0, 1.0]), np.array([1.0 - 2.0**-53, 0.75, 0.5]), 60)
+    assert got.tolist() == [54, 3, 2]
+    assert _stopping_rounds(np.array([1.0]), np.array([1.0]), 60).tolist() == [60]
 
 
 def test_monte_carlo_single_sample_reproducible():
