@@ -12,7 +12,6 @@ from .partition_core import (
     Rect,
     StaircaseProfile,
     TargetFunction,
-    cell_probability,
     entropy_bits,
     is_zero_error,
     majorizes,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,16 +26,12 @@ __all__ = ["DEFAULT_SEED", "CommandConfig", "Report", "dispatch", "emit_plot_dat
 
 DEFAULT_SEED = 0x5EED
 
-_SUBCOMMANDS = (
-    "simulate",
-    "lattice-rates",
-    "lattice-nearest",
-    "entropy-ratio",
-    "optimize-ratio",
-    "partition-show",
-    "verify",
-    "plot-data",
-)
+# Subcommands whose report has a CSV table.
+_CSV_SUBCOMMANDS = ("simulate", "lattice-rates", "entropy-ratio", "plot-data")
+
+# argparse's default matcher misses exponent notation, so "--y -4.69e-05"
+# would read the value as an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
 @dataclass
@@ -46,10 +43,12 @@ class CommandConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.subcommand not in _SUBCOMMANDS:
+        if self.subcommand not in _RUNNERS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.fmt not in ("json", "csv", "human"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.fmt == "csv" and self.subcommand not in _CSV_SUBCOMMANDS:
+            raise ValueError(f"csv output is not defined for {self.subcommand!r}")
 
 
 @dataclass
@@ -71,6 +70,15 @@ def _require(options: dict, *names: str) -> None:
 def _lattice_from(options: dict) -> latgeo.Lattice2D:
     _require(options, "rho", "theta")
     return latgeo.Lattice2D(options["rho"], options["theta"])
+
+
+def _subdivision_csv(subdivision: dict) -> str:
+    """CSV table of the cells of a :func:`latgeo.subdivision_to_json` dict."""
+    lines = ["x_lo,x_hi,y_lo,y_hi,error_free,prob"]
+    for cell in subdivision["cells"]:
+        coords = ",".join(repr(v) for v in cell["rect"])
+        lines.append(f"{coords},{str(cell['error_free']).lower()},{cell['prob']!r}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_plot_data(
@@ -103,11 +111,7 @@ def emit_plot_data(
         if rho is None or theta is None:
             raise ValueError("subdivision plot data needs --rho and --theta")
         sub = latgeo.babai_subdivision(latgeo.Lattice2D(rho, theta))
-        lines.append("x_lo,x_hi,y_lo,y_hi,error_free,prob")
-        area = sub.babai_cell.area
-        for cell in sub.cells:
-            coords = ",".join(repr(v) for v in cell.rect.as_list())
-            lines.append(f"{coords},{str(cell.error_free).lower()},{cell.rect.area / area!r}")
+        return _subdivision_csv(latgeo.subdivision_to_json(sub))
     else:
         raise ValueError(f"unknown plot kind {which!r}")
     return "\n".join(lines) + "\n"
@@ -146,6 +150,7 @@ def _run_lattice_rates(config: CommandConfig) -> tuple[dict, Optional[str], bool
     lat = _lattice_from(config.options)
     sub = latgeo.babai_subdivision(lat)
     rates = latgeo.round_rates(sub)
+    subdivision = latgeo.subdivision_to_json(sub)
     results = {
         "rho": lat.rho,
         "theta": lat.theta,
@@ -156,13 +161,12 @@ def _run_lattice_rates(config: CommandConfig) -> tuple[dict, Optional[str], bool
         "R_bar": rates.R_bar,
         "N_bar": rates.N_bar,
         "crossed_mass": latgeo.crossed_cell_mass(sub),
-        "subdivision": latgeo.subdivision_to_json(sub),
+        "subdivision": subdivision,
     }
     mc_samples = config.options.get("samples") or 0
     if mc_samples:
         results["mc_mean_rounds"] = latgeo.simulate_round_count(sub, mc_samples, config.seed)
-    csv_text = emit_plot_data("subdivision", 16, rho=lat.rho, theta=lat.theta)
-    return results, csv_text, False
+    return results, _subdivision_csv(subdivision), False
 
 
 def _run_lattice_nearest(config: CommandConfig) -> tuple[dict, Optional[str], bool]:
@@ -278,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("json", "csv", "human"), default=None)
         p.add_argument("--json", action="store_true", help="shorthand for --format json")
@@ -353,9 +358,9 @@ def _config_from_args(args: argparse.Namespace) -> CommandConfig:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     start = time.perf_counter()
     try:
+        config = _config_from_args(args)
         report = dispatch(config)
         text = render(report, config.fmt)
         if config.out:

@@ -9,10 +9,9 @@ bit-exchange transcript entropy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .partition_core import (
     LabeledPartition,
@@ -89,34 +88,18 @@ class ConstraintPolytope:
         )
 
 
-def quadrant_min_entropy(support: int = 4) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], float]:
+def quadrant_min_entropy() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], float]:
     """Entropy minimum of the quadrant polytope over its vertex family.
 
     The vertices are coordinate permutations of p* = (1/4, 0, ...) and
     q* = (1/2, 1/4, 0, ...).  Entropy is permutation invariant, so every
-    vertex evaluates to 3/2 bits; the minimizing vertex is returned in
-    canonical (nonincreasing, zero-stripped) form after a feasibility check.
+    vertex evaluates to 3/2 bits; the canonical (nonincreasing,
+    zero-stripped) vertex is returned after a feasibility check.
     """
-    poly = ConstraintPolytope.quadrant_problem(max_m=support)
-    base_p = (0.25,) + (0.0,) * (support - 1)
-    base_q = (0.5, 0.25) + (0.0,) * (support - 2)
-    vertices = set(
-        itertools.product(
-            set(itertools.permutations(base_p)), set(itertools.permutations(base_q))
-        )
-    )
-    best: Optional[tuple[float, tuple, tuple]] = None
-    for vp, vq in sorted(vertices):
-        value = entropy_bits(vp + vq)
-        if best is None or value < best[0]:
-            best = (value, vp, vq)
-    assert best is not None
-    value, vp, vq = best
-    canon_p = tuple(v for v in sorted(vp, reverse=True) if v > 0.0)
-    canon_q = tuple(v for v in sorted(vq, reverse=True) if v > 0.0)
-    if not poly.is_feasible(canon_p, canon_q):
+    vertex_p, vertex_q = (0.25,), (0.5, 0.25)
+    if not ConstraintPolytope.quadrant_problem().is_feasible(vertex_p, vertex_q):
         raise RuntimeError("minimizing vertex violates the polytope constraints")
-    return (canon_p, canon_q), value
+    return (vertex_p, vertex_q), entropy_bits(vertex_p + vertex_q)
 
 
 def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -292,27 +275,20 @@ def side_conditional_entropy(part: LabeledPartition, side: str = "p") -> float:
 def assemble_four_bits() -> float:
     """Total cost: 1 bit for the side indicator plus 3 conditional bits per side.
 
-    Returns exactly 4.0 and cross-checks the bit-exchange transcript entropy
-    at depth 30, which must agree within 1e-7.
+    Returns exactly 4.0; :func:`run_all_checks` compares it with the
+    bit-exchange transcript entropy at depth 30.
     """
-    side_bit = 1.0
     conditional = entropy_ratio(0.5)
-    total = side_bit + 0.5 * conditional + 0.5 * conditional
-    deep_rate = sum_rate(bit_exchange_protocol(30), 30)
-    if abs(total - deep_rate) >= 1e-7:
-        raise RuntimeError(
-            f"closed-form total {total!r} disagrees with depth-30 rate {deep_rate!r}"
-        )
-    return total
+    return 1.0 + 0.5 * conditional + 0.5 * conditional
 
 
-def run_all_checks(include_oracle: bool = True, oracle_grid: int = 60) -> dict:
+def run_all_checks(include_oracle: bool = True) -> dict:
     """Full verification report used by the command-line ``verify`` command."""
     (vertex_p, vertex_q), quadrant_value = quadrant_min_entropy()
     quadrant_ok = abs(quadrant_value - 1.5) <= 1e-12
     oracle_min = None
     if include_oracle:
-        oracle_min = quadrant_grid_oracle(oracle_grid)
+        oracle_min = quadrant_grid_oracle()
         quadrant_ok = quadrant_ok and oracle_min >= 1.5 - 1e-9
     quadrant_report = {
         "vertex_p": list(vertex_p),

@@ -80,8 +80,6 @@ class Lattice2D:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if not (0.0 < self.theta <= math.pi / 2.0):
             raise ValueError(f"theta must lie in (0, pi/2], got {self.theta!r}")
-        if math.sin(self.theta) <= 0.0:
-            raise ValueError("degenerate lattice: sin(theta) <= 0")
 
     @property
     def c(self) -> float:
@@ -189,8 +187,6 @@ def voronoi_cell(lat: Lattice2D) -> ConvexPolygon:
     basis satisfying rho >= cos(theta).  The result is validated against the
     exact cell area det(V) = rho*sin(theta) and fails loudly otherwise.
     """
-    if math.sin(lat.theta) <= 0.0:
-        raise ValueError("degenerate lattice: sin(theta) <= 0")
     bound = 1.0 + lat.rho + lat.h
     pts = [(-bound, -bound), (bound, -bound), (bound, bound), (-bound, bound)]
     for c1 in range(-2, 3):
@@ -245,28 +241,65 @@ def _canonical_ring(pts: list[tuple[float, float]]) -> list[tuple[float, float]]
     return pts[start:] + pts[:start]
 
 
-def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Point2:
-    """Exact closest lattice point via the Babai point plus a 3x3 candidate scan.
+def _reduced_basis(lat: Lattice2D) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduction of the basis, as integer coefficient pairs.
 
-    The scan covers all Voronoi-relevant neighbors whenever
-    rho >= cos(theta).  Distance ties break toward the lexicographically
-    smallest coefficient pair.
+    Returns the coefficients (u, w) of a basis of the same lattice with
+    |u| <= |w| and |<u, w>| <= |u|^2 / 2.  The two vectors then meet at an
+    angle between 60 and 120 degrees, so the Voronoi cell spans less than one
+    unit along either reduced coordinate.
+    """
+
+    def dot(a: tuple[int, int], b: tuple[int, int]) -> float:
+        ax, ay = lat.point(*a)
+        bx, by = lat.point(*b)
+        return ax * bx + ay * by
+
+    u, w = (1, 0), (0, 1)
+    if dot(w, w) < dot(u, u):
+        u, w = w, u
+    while True:
+        norm_u = dot(u, u)
+        ratio = dot(u, w) / norm_u if norm_u > 0.0 else math.inf
+        # Past 2^52 the subtraction below would lose every bit of w.
+        if not abs(ratio) < 2.0**52:
+            raise UnsupportedGeometryError(
+                f"basis of rho={lat.rho}, theta={lat.theta} cannot be reduced in floating point"
+            )
+        mu = round(ratio)
+        w = (w[0] - mu * u[0], w[1] - mu * u[1])
+        if dot(w, w) >= norm_u:
+            return u, w
+        u, w = w, u
+
+
+def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Point2:
+    """Exact closest lattice point, for every :class:`Lattice2D`.
+
+    Rounds the coordinates of ``x`` in the Lagrange-Gauss reduced basis and
+    scans their 3x3 neighbourhood, which holds the closest point because the
+    reduced Voronoi cell spans less than one unit per coordinate.  Distance
+    ties break toward the lexicographically smallest coefficient pair in the
+    original basis.
     """
     x1, x2 = x
-    (b1, b2), _ = nearest_plane_point(lat, (x1, x2))
-    best: Optional[tuple[float, int, int]] = None
-    best_pt = None
-    for d2 in (-1, 0, 1):
-        for d1 in (-1, 0, 1):
-            n1, n2 = b1 + d1, b2 + d2
-            px = n1 + n2 * lat.c
-            py = n2 * lat.h
-            key = ((x1 - px) ** 2 + (x2 - py) ** 2, n1, n2)
-            if best is None or key < best:
-                best = key
-                best_pt = Point2(px, py)
-    assert best_pt is not None
-    return best_pt
+    u, w = _reduced_basis(lat)
+    ux, uy = lat.point(*u)
+    wx, wy = lat.point(*w)
+    det = ux * wy - uy * wx
+    a = round((x1 * wy - x2 * wx) / det)
+    b = round((ux * x2 - uy * x1) / det)
+
+    def key(n: tuple[int, int]) -> tuple[float, int, int]:
+        px, py = lat.point(*n)
+        return ((x1 - px) ** 2 + (x2 - py) ** 2, *n)
+
+    candidates = [
+        ((a + da) * u[0] + (b + db) * w[0], (a + da) * u[1] + (b + db) * w[1])
+        for db in (-1, 0, 1)
+        for da in (-1, 0, 1)
+    ]
+    return lat.point(*min(candidates, key=key))
 
 
 @dataclass(frozen=True)
@@ -351,8 +384,6 @@ class RoundRates:
     P: tuple[float, ...]
     Q0: float
     P0: float
-    R_bar: float
-    N_bar: float
 
     def __post_init__(self) -> None:
         for vec in (self.Q, self.P):
@@ -360,18 +391,24 @@ class RoundRates:
                 raise ValueError(f"distribution {vec} does not sum to 1")
             if any(v < 0.0 or v > 1.0 for v in vec):
                 raise ValueError(f"distribution {vec} has components outside [0,1]")
-        expected_r = entropy_bits(self.Q) + (1.0 - self.Q0) * entropy_bits(self.P) + 4.0 * (
+
+    @property
+    def R_bar(self) -> float:
+        """Average rate H(Q) + (1-Q0) H(P) + 4 (1-P0)(1-Q0) in bits."""
+        return entropy_bits(self.Q) + (1.0 - self.Q0) * entropy_bits(self.P) + 4.0 * (
             1.0 - self.P0
         ) * (1.0 - self.Q0)
-        expected_n = 1.0 + 2.0 * (1.0 - self.P0) * (1.0 - self.Q0)
-        if abs(expected_r - self.R_bar) > 1e-12 or abs(expected_n - self.N_bar) > 1e-12:
-            raise ValueError("rate fields inconsistent with (Q, P, Q0, P0)")
+
+    @property
+    def N_bar(self) -> float:
+        """Average round count 1 + 2 (1-P0)(1-Q0)."""
+        return 1.0 + 2.0 * (1.0 - self.P0) * (1.0 - self.Q0)
 
 
 def round_rates(sub: BabaiSubdivision) -> RoundRates:
     """Column/row message distributions and the average rate and round count."""
     if sub.degenerate:
-        return RoundRates((1.0,), (1.0,), 1.0, 1.0, 0.0, 1.0)
+        return RoundRates((1.0,), (1.0,), 1.0, 1.0)
     h = sub.lattice.h
     middle = sub.cells[0].rect
     left_col = sub.cells[1].rect
@@ -381,11 +418,7 @@ def round_rates(sub: BabaiSubdivision) -> RoundRates:
 
     rows = [c.rect for c in sub.cells[1:4]]  # top, middle, bottom of one column
     P = tuple(r.height / h for r in rows)
-    Q0 = Q[1]
-    P0 = P[1]
-    r_bar = entropy_bits(Q) + (1.0 - Q0) * entropy_bits(P) + 4.0 * (1.0 - P0) * (1.0 - Q0)
-    n_bar = 1.0 + 2.0 * (1.0 - P0) * (1.0 - Q0)
-    return RoundRates(Q, P, Q0, P0, r_bar, n_bar)
+    return RoundRates(Q, P, Q[1], P[1])
 
 
 def crossed_cell_mass(sub: BabaiSubdivision) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "LabeledPartition",
     "StaircaseProfile",
     "entropy_bits",
-    "cell_probability",
     "partition_entropy",
     "is_zero_error",
     "majorizes",
@@ -100,11 +99,6 @@ class Rect:
             min(self.x_hi, other.x_hi) - max(self.x_lo, other.x_lo) > tol
             and min(self.y_hi, other.y_hi) - max(self.y_lo, other.y_lo) > tol
         )
-
-
-def cell_probability(r: Rect) -> float:
-    """Probability of a cell under the uniform measure on the unit square."""
-    return r.area
 
 
 def _is_number(v: object) -> bool:
@@ -366,12 +360,17 @@ def staircase_area(profile: StaircaseProfile | Sequence[float]) -> float:
     return total
 
 
+def _staircase_bound(m: int | np.ndarray) -> float | np.ndarray:
+    """Staircase bound m / (2(m+1)) on the sum of any m cell probabilities."""
+    return m / (2.0 * (m + 1.0))
+
+
 def staircase_max(m: int) -> tuple[StaircaseProfile, float]:
     """Closed-form maximizer x_i = i/(m+1) with area m / (2(m+1))."""
     if m < 1:
         raise ValueError("m must be >= 1")
     profile = StaircaseProfile(tuple(i / (m + 1.0) for i in range(1, m + 1)))
-    return profile, m / (2.0 * (m + 1.0))
+    return profile, _staircase_bound(m)
 
 
 def maximize_staircase_numeric(
@@ -401,53 +400,21 @@ def maximize_staircase_numeric(
     return profile, staircase_area(profile)
 
 
-def _staircase_bound(m: int) -> float:
-    return m / (2.0 * (m + 1.0))
-
-
-def _subset_sums_ok(probs: Sequence[float], tol: float) -> bool:
-    # Exhaustive check over every nonempty subset, vectorized over bitmasks.
-    n = len(probs)
-    sums = np.zeros(1 << n)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for i, v in enumerate(probs):
-        half = 1 << i
-        sums[half : 2 * half] = sums[:half] + v
-        sizes[half : 2 * half] = sizes[:half] + 1
-    bounds = np.array([0.0] + [_staircase_bound(m) for m in range(1, n + 1)])
-    return bool(np.all(sums <= bounds[sizes] + tol))
-
-
-def _prefix_sums_ok(probs: Sequence[float], tol: float) -> bool:
-    ordered = np.sort(np.asarray(probs, dtype=float))[::-1]
-    prefix = np.cumsum(ordered)
-    ms = np.arange(1, len(ordered) + 1, dtype=float)
-    return bool(np.all(prefix <= ms / (2.0 * (ms + 1.0)) + tol))
-
-
-def satisfies_staircase_bounds(
-    part: LabeledPartition,
-    tol: float = PROB_TOL,
-    exhaustive_limit: int = 20,
-) -> bool:
+def satisfies_staircase_bounds(part: LabeledPartition, tol: float = PROB_TOL) -> bool:
     """Check the staircase constraints on a zero-error partition.
 
     Every size-m subset of p-cell probabilities (likewise q) must sum to at
-    most m/(2(m+1)).  Sides with at most ``exhaustive_limit`` cells are
-    checked over all subsets; larger sides over the m largest cells for each
-    m, which is the binding subset since probabilities are nonnegative.
+    most m/(2(m+1)).  Probabilities are nonnegative, so the m largest cells
+    form the binding subset, and each side is checked through the prefix sums
+    of its probabilities sorted in decreasing order.
 
     The totals must both equal 1/2 when the partition has no residual; a
     finite truncation keeps undecided diagonal mass, so there the two sides
     are only required to carry equal mass.
     """
     for probs in (part.p_probs(), part.q_probs()):
-        if not probs:
-            continue
-        if len(probs) <= exhaustive_limit:
-            if not _subset_sums_ok(probs, tol):
-                return False
-        elif not _prefix_sums_ok(probs, tol):
+        prefix = np.cumsum(np.sort(np.asarray(probs, dtype=float))[::-1])
+        if not np.all(prefix <= _staircase_bound(np.arange(1, len(prefix) + 1)) + tol):
             return False
     sp = math.fsum(part.p_probs())
     sq = math.fsum(part.q_probs())

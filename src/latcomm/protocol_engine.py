@@ -10,7 +10,7 @@ message structure holds by construction.
 Trees are expanded lazily: the classic bit-exchange protocol at depth 30
 describes ~10^9 transcripts, but only the nodes actually visited are ever
 materialized.  Aggregate quantities (the transcript entropy) are computed by
-a recursion that merges structurally identical subtrees via node signatures,
+a recursion that merges structurally identical subtrees via node tags,
 so they stay exact and cheap at any depth.
 
 All interval endpoints encountered here are dyadic rationals, which binary
@@ -87,9 +87,9 @@ class _Leaf:
 
 
 class _Node:
-    __slots__ = ("speaker", "i1", "i2", "bounds", "children", "sig", "tag")
+    __slots__ = ("speaker", "i1", "i2", "bounds", "children", "tag")
 
-    def __init__(self, speaker, i1, i2, bounds, children=None, sig=None, tag=None):
+    def __init__(self, speaker, i1, i2, bounds, children=None, tag=None):
         if speaker not in (1, 2):
             raise ValueError("speaker must be 1 or 2")
         own = i1 if speaker == 1 else i2
@@ -102,7 +102,6 @@ class _Node:
         self.i2 = i2
         self.bounds = bounds
         self.children = children if children is not None else [None] * (len(bounds) - 1)
-        self.sig = sig
         self.tag = tag
 
 
@@ -154,7 +153,6 @@ def _bx_expander(tree: ProtocolTree, node: _Node, i: int):
             (lo, hi),
             node.i2,
             _interval_split(*node.i2),
-            sig=("s2", k),
             tag=("s2", k, i),
         )
     sent = node.tag[2]
@@ -167,7 +165,6 @@ def _bx_expander(tree: ProtocolTree, node: _Node, i: int):
         node.i1,
         (lo, hi),
         _interval_split(*node.i1),
-        sig=("s1", k + 1),
         tag=("s1", k + 1),
     )
 
@@ -185,7 +182,7 @@ def bit_exchange_protocol(max_depth: int) -> ProtocolTree:
     if max_depth > MAX_TREE_DEPTH:
         raise ValueError(f"max_depth must be <= {MAX_TREE_DEPTH}")
     unit = (0.0, 1.0)
-    root = _Node(1, unit, unit, _interval_split(*unit), sig=("s1", 1), tag=("s1", 1))
+    root = _Node(1, unit, unit, _interval_split(*unit), tag=("s1", 1))
     return ProtocolTree(root, max_depth, name="bit-exchange", expander=_bx_expander)
 
 
@@ -270,15 +267,16 @@ def induced_partition(tree: ProtocolTree, max_depth: int) -> LabeledPartition:
 def _leaf_profile(tree: ProtocolTree) -> dict[float, int]:
     """Multiset {leaf probability: count} under uniform independent inputs.
 
-    Recursion over turns; subtrees sharing a signature contribute identical
-    conditional profiles and are evaluated once.
+    Recursion over turns; bit-exchange subtrees sharing the first two tag
+    fields (turn kind and round) contribute identical conditional profiles
+    and are evaluated once.  Untagged nodes are keyed by identity.
     """
     memo: dict[object, dict[float, int]] = {}
 
     def prof(node) -> dict[float, int]:
         if type(node) is _Leaf:
             return {1.0: 1}
-        key = node.sig if node.sig is not None else id(node)
+        key = node.tag[:2] if node.tag is not None else id(node)
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -328,10 +326,11 @@ def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:
         yield np.random.default_rng(child).random((n, 2))
 
 
-def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[int, int]:
+def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
+    """Total bits and rounds over the pairs; a k-symbol message is log2(k) bits."""
     root = tree.root
     expand = tree.child
-    total_msgs = 0
+    messages: dict[int, int] = {}  # alphabet size -> messages sent over it
     total_rounds = 0
     x1s = pairs[:, 0].tolist()
     x2s = pairs[:, 1].tolist()
@@ -342,15 +341,16 @@ def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[int, int]:
             x = x1 if node.speaker == 1 else x2
             i = bisect_right(node.bounds, x) - 1
             t += 1
+            k = len(node.bounds) - 1
+            messages[k] = messages.get(k, 0) + 1
             ch = node.children[i]
             if ch is None:
                 ch = expand(node, i)
             if type(ch) is _Leaf:
                 break
             node = ch
-        total_msgs += t
         total_rounds += (t + 1) // 2
-    return total_msgs, total_rounds
+    return math.fsum(n * math.log2(k) for k, n in messages.items()), total_rounds
 
 
 def _stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int) -> np.ndarray:
@@ -377,25 +377,26 @@ def _stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int) -> np.ndarray:
 
 
 def monte_carlo(tree: ProtocolTree, samples: int, seed: int) -> RunStats:
-    """Mean message and round counts over i.i.d. uniform input pairs.
+    """Mean bit and round counts over i.i.d. uniform input pairs.
 
     Deterministic given the seed: the pairs come from :func:`sample_inputs`
-    and per-chunk integer tallies are summed in chunk order.  Bit-exchange
-    trees are counted by a vectorized first-differing-bit kernel, where each
-    round is two messages; other trees are walked pair by pair.
+    and per-chunk tallies are summed in chunk order.  Bit-exchange trees are
+    counted by a vectorized first-differing-bit kernel, where each round is
+    two one-bit messages; other trees are walked pair by pair, a message
+    over k symbols adding log2(k) bits.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if type(tree.root) is _Leaf:
         return RunStats(samples, 0.0, 0.0, seed)
-    total_msgs = 0
+    total_bits = 0
     total_rounds = 0
     for pairs in sample_inputs(seed, samples):
         if tree._expander is _bx_expander:
             rounds = int(_stopping_rounds(pairs[:, 0], pairs[:, 1], tree.max_depth).sum())
-            msgs = 2 * rounds
+            bits = 2 * rounds
         else:
-            msgs, rounds = _walk_totals(tree, pairs)
-        total_msgs += msgs
+            bits, rounds = _walk_totals(tree, pairs)
+        total_bits += bits
         total_rounds += rounds
-    return RunStats(samples, total_msgs / samples, total_rounds / samples, seed)
+    return RunStats(samples, total_bits / samples, total_rounds / samples, seed)

@@ -8,6 +8,7 @@ paths under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,30 @@ def brute_force_nearest(lat: Lattice2D, x, radius: int = 3):
                 best = key
                 best_pt = (px, py)
     return best_pt, (best[1], best[2])
+
+
+def nearest_by_enumeration(lat: Lattice2D, x):
+    """Nearest lattice point over every point no farther from x than its Babai point.
+
+    The Babai point's distance r bounds the nearest distance, so the rows
+    |x2 - n2 h| <= r and, in each row, |x1 - n1 - n2 c| <= r hold every
+    candidate: the scan is exhaustive for any basis, however skewed.  Ties
+    break as in the library, on (distance^2, n1, n2).
+    """
+    x1, x2 = x
+    anchor2 = round(x2 / lat.h)
+    anchor1 = round(x1 - anchor2 * lat.c)
+    r = math.hypot(x1 - anchor1 - anchor2 * lat.c, x2 - anchor2 * lat.h) + 1e-9
+    best = None
+    for n2 in range(math.floor((x2 - r) / lat.h), math.ceil((x2 + r) / lat.h) + 1):
+        row = x1 - n2 * lat.c
+        for n1 in range(math.floor(row - r), math.ceil(row + r) + 1):
+            px = n1 + n2 * lat.c
+            py = n2 * lat.h
+            key = ((x1 - px) ** 2 + (x2 - py) ** 2, n1, n2)
+            if best is None or key < best:
+                best = key
+    return (best[1] + best[2] * lat.c, best[2] * lat.h), (best[1], best[2])
 
 
 def fraction_bits(x: float | Fraction, n: int) -> list[int]:
@@ -110,6 +135,25 @@ def round_count_by_doubling(sub, samples: int, seed: int) -> float:
 def closed_form_truncated_bits(d: int) -> float:
     """Expected transcript entropy of depth-d bit exchange: decided levels plus tail."""
     return math.fsum(2.0**-k * 2 * k for k in range(1, d + 1)) + 2.0**-d * 2 * d
+
+
+def staircase_bounds_by_subsets(part: LabeledPartition) -> bool:
+    """Staircase constraints over every subset, in exact Fraction arithmetic.
+
+    Every m p-cell probabilities (likewise q) must sum to at most
+    Fraction(m, 2(m+1)).  Without residual cells both sides must carry exactly
+    1/2; with residual cells they must carry equal mass.
+    """
+    sides = [[Fraction(p) for p in part.p_probs()], [Fraction(q) for q in part.q_probs()]]
+    for probs in sides:
+        for m in range(1, len(probs) + 1):
+            bound = Fraction(m, 2 * (m + 1))
+            if any(sum(subset) > bound for subset in itertools.combinations(probs, m)):
+                return False
+    sp, sq = (sum(probs) for probs in sides)
+    if part.residual:
+        return sp == sq
+    return sp == sq == Fraction(1, 2)
 
 
 def random_superbase_lattice(rng: np.random.Generator) -> Lattice2D:

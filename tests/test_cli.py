@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from latcomm import LabeledPartition
+from latcomm import LabeledPartition, Lattice2D
 import latcomm.cli as cli_module
 from latcomm.cli import (
     DEFAULT_SEED,
@@ -218,11 +218,40 @@ def test_dispatch_reports_inputs_and_elapsed():
         ("partition-show", "--protocol", "bit-exchange", "--max-depth", "2"),
     ],
 )
-def test_csv_without_a_table_is_a_usage_error(capsys, argv):
+def test_csv_without_a_table_is_a_usage_error(capsys, monkeypatch, argv):
+    def must_not_run(include_oracle=True):
+        raise AssertionError("the format must be rejected before dispatch")
+
+    monkeypatch.setattr(cli_module.conv, "run_all_checks", must_not_run)
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
     assert code == 2
     assert out == ""
     assert err.startswith("error: csv output is not defined")
+
+
+@pytest.mark.parametrize("value", ["-4.69e-05", "-1E+2", "-.5e1", "-3.", "-7"])
+def test_negative_numbers_in_exponent_notation(capsys, value):
+    base = ("lattice-nearest", "--rho", "1.2", "--theta", "1.0", "--x", "0.1", "--json")
+    code, spaced, _ = run_cli(capsys, *base, "--y", value)
+    assert code == 0
+    code, joined, _ = run_cli(capsys, *base, f"--y={value}")
+    assert code == 0
+    assert spaced == joined
+    assert json.loads(spaced)["input"] == [0.1, float(value)]
+
+
+def test_lattice_nearest_outside_the_subdivision_domain(capsys):
+    # rho*cos(theta) > 1: the Babai point (1, 0) is 0.546 away, the lattice
+    # point with coefficients (3, -1) only 0.487.
+    code, out, _ = run_cli(
+        capsys, "lattice-nearest", "--rho", "2.5", "--theta", "0.3",
+        "--x", "0.52", "--y", "-0.26", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    lat = Lattice2D(2.5, 0.3)
+    assert data["babai_coeffs"] == [1, 0]
+    assert data["nearest_point"] == list(lat.point(3, -1))
 
 
 def test_elapsed_includes_rendering(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latcomm import (
     Lattice2D,
@@ -23,6 +23,7 @@ from latcomm import (
 
 from oracles import (
     brute_force_nearest,
+    nearest_by_enumeration,
     random_corner_cut_lattice,
     random_superbase_lattice,
     round_count_by_doubling,
@@ -152,6 +153,29 @@ def test_nearest_lattice_point_against_brute_force():
         d_got = math.dist(got, x)
         d_exp = math.dist(expected, x)
         assert d_got <= d_exp + 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(0.05, 8.0),
+    st.floats(0.05, math.pi / 2),
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+)
+@example(2.5, 0.3, 0.52, -0.26)  # nearest coefficients (3, -1), Babai (1, 0)
+def test_nearest_lattice_point_exact_on_every_lattice(rho, theta, x1, x2):
+    # Covers skewed bases outside cos(theta) < rho, rho*cos(theta) < 1, where
+    # a 3x3 scan around the Babai point misses the nearest point.
+    lat = Lattice2D(rho, theta)
+    expected, _ = nearest_by_enumeration(lat, (x1, x2))
+    assert nearest_lattice_point(lat, (x1, x2)) == Point2(*expected)
+
+
+def test_nearest_lattice_point_rejects_unreducible_bases():
+    with pytest.raises(UnsupportedGeometryError):
+        nearest_lattice_point(Lattice2D(1.0, 1e-300), (0.3, 0.1))
+    with pytest.raises(UnsupportedGeometryError):
+        nearest_lattice_point(Lattice2D(1e20, 1.0), (0.3, 0.1))
 
 
 def test_babai_subdivision_degenerate():

@@ -9,8 +9,9 @@ from latcomm import (
     Rect,
     StaircaseProfile,
     TargetFunction,
-    cell_probability,
+    bit_exchange_protocol,
     entropy_bits,
+    induced_partition,
     is_zero_error,
     majorizes,
     maximize_staircase_numeric,
@@ -21,7 +22,11 @@ from latcomm import (
     satisfies_staircase_bounds,
 )
 
-from oracles import random_majorizing_pair, random_zero_error_partition
+from oracles import (
+    random_majorizing_pair,
+    random_zero_error_partition,
+    staircase_bounds_by_subsets,
+)
 
 MIN = TargetFunction.MIN_INDICATOR
 QUAD = TargetFunction.QUADRANT
@@ -37,10 +42,10 @@ def quarter_partition():
     )
 
 
-def test_cell_probability_examples():
-    assert cell_probability(Rect(0.0, 1.0, 0.0, 1.0)) == 1.0
-    assert cell_probability(Rect(0.5, 1.0, 0.0, 0.5)) == 0.25
-    assert cell_probability(Rect(0.0, 0.5, 0.0, 0.25)) == 0.125
+def test_rect_area_examples():
+    assert Rect(0.0, 1.0, 0.0, 1.0).area == 1.0
+    assert Rect(0.5, 1.0, 0.0, 0.5).area == 0.25
+    assert Rect(0.0, 0.5, 0.0, 0.25).area == 0.125
 
 
 def test_rect_validation():
@@ -262,10 +267,48 @@ def test_staircase_bounds_equality_case():
     assert satisfies_staircase_bounds(part)
 
 
-def test_staircase_bounds_paths_agree():
+def strip_partition(widths):
+    """Columns split at y = 1/2 into a p-cell below and a q-cell above.
+
+    A final residual column fills the square, so both sides carry equal mass
+    and each cell's probability is half its column width.
+    """
+    cells = []
+    x = 0.0
+    for w in widths:
+        cells.append((Rect(x, x + w, 0.0, 0.5), "p"))
+        cells.append((Rect(x, x + w, 0.5, 1.0), "q"))
+        x += w
+    return LabeledPartition(tuple(cells), (Rect(x, 1.0, 0.0, 1.0),))
+
+
+def test_staircase_bounds_match_exact_subset_oracle():
     rng = np.random.default_rng(19)
-    for _ in range(25):
+    verdicts = []
+    for _ in range(40):
         part = random_zero_error_partition(rng, max_depth=3)
-        small = satisfies_staircase_bounds(part, exhaustive_limit=20)
-        large = satisfies_staircase_bounds(part, exhaustive_limit=0)  # force the prefix path
-        assert small == large
+        verdicts.append(staircase_bounds_by_subsets(part))
+        assert satisfies_staircase_bounds(part) == verdicts[-1]
+    for _ in range(80):
+        k = int(rng.integers(1, 8))
+        widths = rng.dirichlet(np.ones(k + 1))[:k] * float(rng.uniform(0.5, 1.0))
+        part = strip_partition([float(w) for w in widths])
+        verdicts.append(staircase_bounds_by_subsets(part))
+        assert satisfies_staircase_bounds(part) == verdicts[-1]
+    for t in rng.uniform(0.5, 0.95, size=10):
+        # One p-cell of probability t/2 > 1/4 breaks the m=1 bound.
+        part = strip_partition([float(t)])
+        assert not staircase_bounds_by_subsets(part)
+        assert not satisfies_staircase_bounds(part)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_staircase_bounds_dyadic_equality(depth):
+    # Depth-d bit exchange has 2^d - 1 p-cells summing to exactly m/(2(m+1)).
+    part = induced_partition(bit_exchange_protocol(depth), depth)
+    m = len(part.p_probs())
+    assert m == 2**depth - 1
+    assert math.fsum(part.p_probs()) == m / (2 * (m + 1))
+    assert staircase_bounds_by_subsets(part)
+    assert satisfies_staircase_bounds(part)

@@ -193,15 +193,17 @@ def test_ternary_alphabet_protocol():
     assert abs(sum_rate(tree, 1) - math.log2(3)) < 1e-12
     t = run_protocol(tree, 0.5, 0.5)
     assert t.messages == (1,) and t.stopping_time == 1
+    stats = monte_carlo(tree, 4096, seed=5)
+    assert stats.mean_bits == math.log2(3) and stats.mean_rounds == 1.0
 
 
 def _walked_stats(tree, samples, seed):
-    msgs = rounds = 0
+    bits = rounds = 0
     for pairs in sample_inputs(seed, samples):
-        m, r = _walk_totals(tree, pairs)
-        msgs += m
+        b, r = _walk_totals(tree, pairs)
+        bits += b
         rounds += r
-    return RunStats(samples, msgs / samples, rounds / samples, seed)
+    return RunStats(samples, bits / samples, rounds / samples, seed)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 5, 6, 7, 8, 30, 50])
