@@ -56,7 +56,6 @@ class Report:
     subcommand: str
     inputs: dict
     results: dict
-    elapsed_ms: float
     csv_text: Optional[str] = None
     failed: bool = False
 
@@ -219,7 +218,7 @@ def _run_verify(config: CommandConfig) -> tuple[dict, Optional[str], bool]:
     target = config.options.get("target", "converse")
     if target != "converse":
         raise ValueError(f"unknown verification target {target!r}")
-    report = conv.run_all_checks(include_oracle=bool(config.options.get("all", True)))
+    report = conv.run_all_checks(include_oracle=bool(config.options.get("all", False)))
     return report, None, not report["pass"]
 
 
@@ -246,12 +245,10 @@ _RUNNERS = {
 
 def dispatch(config: CommandConfig) -> Report:
     """Route a validated config to its module operation."""
-    start = time.perf_counter()
     results, csv_text, failed = _RUNNERS[config.subcommand](config)
-    elapsed_ms = 1e3 * (time.perf_counter() - start)
     inputs = {k: v for k, v in config.options.items() if v is not None}
     inputs["seed"] = config.seed
-    return Report(config.subcommand, inputs, results, elapsed_ms, csv_text, failed)
+    return Report(config.subcommand, inputs, results, csv_text, failed)
 
 
 def _render_human(report: Report) -> str:

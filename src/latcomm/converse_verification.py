@@ -160,10 +160,12 @@ def minimize_entropy_ratio(tolerance: float = 1e-6) -> tuple[float, float]:
 
     Returns (v*, ratio(v*)) with the bracket narrowed below ``tolerance``.
     Local uniqueness is asserted by requiring the ratio to exceed 3 bits at
-    v* +- 10*tolerance.
+    v* +- 10*tolerance.  Tolerances below 1e-8 are rejected: ratio(1/2 + d)
+    - 3 is about 4.46 d^2, so within about 1e-8 of 1/2 the ratio is flat in
+    double precision.
     """
-    if not 0.0 < tolerance <= 1e-3:
-        raise ValueError("tolerance must lie in (0, 1e-3]")
+    if not 1e-8 <= tolerance <= 1e-3:
+        raise ValueError("tolerance must lie in [1e-8, 1e-3]")
     a, b = 1e-9, 1.0 - 1e-9
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)

@@ -2,9 +2,9 @@
 
 The lattice is spanned by the columns of ``[[1, rho*cos(theta)],
 [0, rho*sin(theta)]]``.  The module provides Babai (nearest-plane) rounding,
-exact closest-point search, the Voronoi cell of the origin via half-plane
-clipping, and the seven-rectangle refinement of the Babai cell together with
-the two-round message statistics it induces.
+exact closest-point search and the Voronoi cell of the origin, both from the
+Lagrange-Gauss reduced basis, and the seven-rectangle refinement of the Babai
+cell together with the two-round message statistics it induces.
 
 Geometry of the refinement, writing c = rho*cos(theta), h = rho*sin(theta):
 the Babai cell of the origin is [-1/2, 1/2] x [-h/2, h/2], and for
@@ -80,6 +80,10 @@ class Lattice2D:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if not (0.0 < self.theta <= math.pi / 2.0):
             raise ValueError(f"theta must lie in (0, pi/2], got {self.theta!r}")
+        if not self.h > 0.0:
+            raise ValueError(
+                f"rho*sin(theta) underflows to 0 for rho={self.rho!r}, theta={self.theta!r}"
+            )
 
     @property
     def c(self) -> float:
@@ -113,11 +117,20 @@ def nearest_plane_point(
 
     Ties on cell faces break toward the even integer (round-half-to-even).
     Returns the integer basis coefficients and the lattice point itself.
+    Raises ValueError for a non-finite query or one whose quotient overflows.
     """
     x1, x2 = x
-    b2 = round(x2 / lat.h)
-    b1 = round(x1 - b2 * lat.c)
+    b2 = _round_finite(x2 / lat.h)
+    b1 = _round_finite(x1 - b2 * lat.c)
     return (b1, b2), lat.point(b1, b2)
+
+
+def _round_finite(q: float) -> int:
+    # round() raises OverflowError on inf and ValueError on nan; both mean the
+    # query was not finite or overflowed on its way here.
+    if not math.isfinite(q):
+        raise ValueError(f"query is not finite or overflows double precision (quotient {q!r})")
+    return round(q)
 
 
 @dataclass(frozen=True)
@@ -160,87 +173,6 @@ class ConvexPolygon:
         )
 
 
-def _clip_halfplane(
-    pts: list[tuple[float, float]], a: float, b: float, rhs: float, eps: float
-) -> list[tuple[float, float]]:
-    # Keep the side a*x + b*y <= rhs (Sutherland-Hodgman step).
-    out: list[tuple[float, float]] = []
-    n = len(pts)
-    for i in range(n):
-        px, py = pts[i]
-        qx, qy = pts[(i + 1) % n]
-        dp = a * px + b * py - rhs
-        dq = a * qx + b * qy - rhs
-        if dp <= eps:
-            out.append((px, py))
-        if (dp < -eps and dq > eps) or (dp > eps and dq < -eps):
-            t = dp / (dp - dq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
-def voronoi_cell(lat: Lattice2D) -> ConvexPolygon:
-    """Voronoi cell of the origin as a half-plane intersection.
-
-    Clips against the bisectors of every nonzero lattice point with basis
-    coefficients in [-2, 2]^2, which covers the relevant vectors of any
-    basis satisfying rho >= cos(theta).  The result is validated against the
-    exact cell area det(V) = rho*sin(theta) and fails loudly otherwise.
-    """
-    bound = 1.0 + lat.rho + lat.h
-    pts = [(-bound, -bound), (bound, -bound), (bound, bound), (-bound, bound)]
-    for c1 in range(-2, 3):
-        for c2 in range(-2, 3):
-            if c1 == 0 and c2 == 0:
-                continue
-            lx, ly = lat.point(c1, c2)
-            norm2 = lx * lx + ly * ly
-            eps = _GEOM_TOL * (1.0 + norm2)
-            pts = _clip_halfplane(pts, lx, ly, norm2 / 2.0, eps)
-    pts = _dedupe_ring(pts, tol=1e-9 * (1.0 + lat.rho))
-    poly = ConvexPolygon(tuple(Point2(*p) for p in _canonical_ring(pts)))
-    if abs(poly.area() - lat.h) > _AREA_TOL:
-        raise UnsupportedGeometryError(
-            "half-plane intersection over coefficients [-2,2]^2 does not close "
-            f"the Voronoi cell for rho={lat.rho}, theta={lat.theta}"
-        )
-    return poly
-
-
-def _dedupe_ring(pts: list[tuple[float, float]], tol: float) -> list[tuple[float, float]]:
-    uniq: list[tuple[float, float]] = []
-    for p in pts:
-        if not uniq or (abs(p[0] - uniq[-1][0]) > tol or abs(p[1] - uniq[-1][1]) > tol):
-            uniq.append(p)
-    if len(uniq) > 1 and abs(uniq[0][0] - uniq[-1][0]) <= tol and abs(uniq[0][1] - uniq[-1][1]) <= tol:
-        uniq.pop()
-    # Drop collinear middle vertices left over from touching constraints.
-    out: list[tuple[float, float]] = []
-    n = len(uniq)
-    for i in range(n):
-        ax, ay = uniq[i - 1]
-        bx, by = uniq[i]
-        cx, cy = uniq[(i + 1) % n]
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if abs(cross) > tol * tol:
-            out.append((bx, by))
-    return out
-
-
-def _canonical_ring(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    # Counterclockwise, starting from the lexicographically smallest vertex.
-    area2 = 0.0
-    n = len(pts)
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        area2 += ax * by - bx * ay
-    if area2 < 0.0:
-        pts = pts[::-1]
-    start = min(range(len(pts)), key=lambda i: pts[i])
-    return pts[start:] + pts[:start]
-
-
 def _reduced_basis(lat: Lattice2D) -> tuple[tuple[int, int], tuple[int, int]]:
     """Lagrange-Gauss reduction of the basis, as integer coefficient pairs.
 
@@ -273,6 +205,48 @@ def _reduced_basis(lat: Lattice2D) -> tuple[tuple[int, int], tuple[int, int]]:
         u, w = w, u
 
 
+def voronoi_cell(lat: Lattice2D) -> ConvexPolygon:
+    """Voronoi cell of the origin, built from the reduced basis.
+
+    The Lagrange-Gauss reduced pair, with the second vector negated if the
+    two meet at an acute angle, is an obtuse superbase (v1, v2, v3 = -v1-v2),
+    and +-v1, +-v2, +-v3 are the only Voronoi-relevant vectors (Conway and
+    Sloane, Proc. R. Soc. A 436, 1992).  Each vertex is the circumcentre of
+    the origin and two angularly consecutive relevant vectors.  On a
+    rectangular lattice the two vertices beside each of +-v3 coincide, so
+    +-v3 are left out and the cell has four vertices.  The cell area must
+    equal det(V) = rho*sin(theta) to within 1e-9 * max(1, det(V)); a
+    floating-point breakdown raises :class:`UnsupportedGeometryError`, as
+    does a basis that cannot be reduced.
+    """
+    u, w = _reduced_basis(lat)
+    (ax, ay), (bx, by) = lat.point(*u), lat.point(*w)
+    dot = ax * bx + ay * by
+    if dot > 0.0:
+        bx, by = -bx, -by
+    if ax * by - ay * bx < 0.0:
+        (ax, ay), (bx, by) = (bx, by), (ax, ay)
+    # Counterclockwise order: v1, -v3 = v1 + v2, v2, then their negatives.
+    half = [(ax, ay), (ax + bx, ay + by), (bx, by)]
+    if abs(dot) <= _GEOM_TOL * math.hypot(ax, ay) * math.hypot(bx, by):
+        # Rectangular up to rounding: +-v3 touch the cell only at a corner.
+        del half[1]
+    relevant = half + [(-x, -y) for x, y in half]
+    ring = []
+    for (px, py), (qx, qy) in zip(relevant, relevant[1:] + relevant[:1]):
+        # The vertex z solves z.p = |p|^2 / 2 and z.q = |q|^2 / 2.
+        sp, sq = (px * px + py * py) / 2.0, (qx * qx + qy * qy) / 2.0
+        det = px * qy - py * qx
+        ring.append(((sp * qy - py * sq) / det, (px * sq - sp * qx) / det))
+    start = min(range(len(ring)), key=ring.__getitem__)
+    poly = ConvexPolygon(tuple(ring[start:] + ring[:start]))
+    if not abs(poly.area() - lat.h) <= _AREA_TOL * max(1.0, lat.h):
+        raise UnsupportedGeometryError(
+            f"Voronoi cell of rho={lat.rho}, theta={lat.theta} lost its area to rounding"
+        )
+    return poly
+
+
 def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Point2:
     """Exact closest lattice point, for every :class:`Lattice2D`.
 
@@ -280,15 +254,16 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
     scans their 3x3 neighbourhood, which holds the closest point because the
     reduced Voronoi cell spans less than one unit per coordinate.  Distance
     ties break toward the lexicographically smallest coefficient pair in the
-    original basis.
+    original basis.  Raises ValueError for a non-finite query or one whose
+    arithmetic overflows.
     """
     x1, x2 = x
     u, w = _reduced_basis(lat)
     ux, uy = lat.point(*u)
     wx, wy = lat.point(*w)
     det = ux * wy - uy * wx
-    a = round((x1 * wy - x2 * wx) / det)
-    b = round((ux * x2 - uy * x1) / det)
+    a = _round_finite((x1 * wy - x2 * wx) / det)
+    b = _round_finite((ux * x2 - uy * x1) / det)
 
     def key(n: tuple[int, int]) -> tuple[float, int, int]:
         px, py = lat.point(*n)
@@ -299,7 +274,13 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
         for db in (-1, 0, 1)
         for da in (-1, 0, 1)
     ]
-    return lat.point(*min(candidates, key=key))
+    try:
+        dist2, n1, n2 = min(map(key, candidates))
+        if math.isfinite(dist2):
+            return lat.point(n1, n2)
+    except OverflowError:
+        pass
+    raise ValueError(f"query {x!r} overflows double precision on rho={lat.rho}, theta={lat.theta}")
 
 
 @dataclass(frozen=True)

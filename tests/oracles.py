@@ -160,8 +160,9 @@ def random_superbase_lattice(rng: np.random.Generator) -> Lattice2D:
     """Random lattice in the obtuse-superbase regime.
 
     With cos(theta) <= rho and rho*cos(theta) <= 1 the relevant Voronoi
-    vectors are (1,0), (rho cos, rho sin) and their difference, so both the
-    [-2,2]^2 half-plane set and the 3x3 nearest-point scan are exact.
+    vectors are (1,0), (rho cos, rho sin) and their difference, so the
+    original basis needs no reduction and the coefficient window of
+    :func:`brute_force_nearest` around the Babai point holds the nearest point.
     """
     while True:
         theta = rng.uniform(0.2, math.pi / 2)

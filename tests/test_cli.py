@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import re
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latcomm import LabeledPartition, Lattice2D
 import latcomm.cli as cli_module
@@ -206,7 +209,6 @@ def test_dispatch_reports_inputs_and_elapsed():
     assert isinstance(report, Report)
     assert report.inputs["v"] == 0.5
     assert report.inputs["seed"] == DEFAULT_SEED
-    assert report.elapsed_ms >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -252,6 +254,62 @@ def test_lattice_nearest_outside_the_subdivision_domain(capsys):
     lat = Lattice2D(2.5, 0.3)
     assert data["babai_coeffs"] == [1, 0]
     assert data["nearest_point"] == list(lat.point(3, -1))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ("--rho", "1", "--theta", "1.0", "--x", "inf", "--y", "0"),
+        ("--rho", "1", "--theta", "1.0", "--x=-inf", "--y", "0"),
+        ("--rho", "1", "--theta", "1.0", "--x", "0.1", "--y", "nan"),
+        ("--rho", "0.5", "--theta", "1.0", "--x", "0.1", "--y", "1e308"),
+        ("--rho", "1", "--theta", "1.0", "--x", "1e200", "--y", "1e200"),
+    ],
+)
+def test_lattice_nearest_rejects_non_finite_and_overflowing_queries(capsys, query):
+    code, out, err = run_cli(capsys, "lattice-nearest", *query, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: query ")
+
+
+def test_optimize_ratio_tolerance_range(capsys):
+    for tolerance in [10.0 ** (k / 4) for k in range(-32, -11)]:  # 1e-8 .. 1e-3
+        code, out, _ = run_cli(capsys, "optimize-ratio", f"--tolerance={tolerance!r}", "--json")
+        assert code == 0
+        assert abs(json.loads(out)["v_star"] - 0.5) <= tolerance
+    # Below 1e-8 the ratio is flat in double precision around v = 1/2.
+    for tolerance in ("1e-12", "1e-16"):
+        code, out, err = run_cli(capsys, "optimize-ratio", "--tolerance", tolerance)
+        assert code == 2
+        assert out == "" and "tolerance must lie in [1e-8, 1e-3]" in err
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 1e-300, 0.5, 1.0]),
+    st.floats(),
+)
+_FUZZ_COMMANDS = {
+    "lattice-nearest": ("rho", "theta", "x", "y"),
+    "lattice-rates": ("rho", "theta"),
+    "entropy-ratio": ("v",),
+    "optimize-ratio": ("tolerance",),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_COMMANDS)), st.tuples(*[_FUZZ_FLOATS] * 4))
+@example("lattice-nearest", (1.0, 1.0, math.inf, 0.0))
+def test_cli_survives_any_float(command, values):
+    names = _FUZZ_COMMANDS[command]
+    argv = [command, "--json"] + [f"--{n}={v!r}" for n, v in zip(names, values)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_elapsed_includes_rendering(capsys, monkeypatch):

@@ -125,6 +125,30 @@ def test_voronoi_area_and_symmetry_random():
         assert poly.is_centrally_symmetric(tol=1e-8)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 8.0), st.floats(0.05, math.pi / 2))
+@example(2.5, 0.3)  # rho*cos(theta) > 1: the basis is not reduced
+@example(0.05, math.pi / 3)  # rectangular in its reduced basis: four vertices
+def test_voronoi_cell_on_every_lattice(rho, theta):
+    lat = Lattice2D(rho, theta)
+    poly = voronoi_cell(lat)
+    assert abs(poly.area() - lat.h) <= 1e-9 * max(1.0, lat.h)
+    assert len(poly.vertices) in (4, 6)
+    assert poly.is_centrally_symmetric(tol=1e-12 * (1.0 + rho))
+    for vertex in poly.vertices:
+        # A vertex is as close to the origin as to any other lattice point.
+        nearest, _ = nearest_by_enumeration(lat, vertex)
+        radius = math.hypot(*vertex)
+        assert math.dist(nearest, vertex) >= radius * (1.0 - 1e-12)
+
+
+def test_voronoi_cell_rejects_unreducible_bases():
+    with pytest.raises(UnsupportedGeometryError):
+        voronoi_cell(Lattice2D(1.0, 1e-300))
+    with pytest.raises(UnsupportedGeometryError):
+        voronoi_cell(Lattice2D(1e20, 1.0))
+
+
 def test_nearest_lattice_point_examples():
     assert nearest_lattice_point(Z2, (0.6, 0.2)) == Point2(1.0, 0.0)
     pt = nearest_lattice_point(HEX, (0.9, 0.9))
@@ -176,6 +200,19 @@ def test_nearest_lattice_point_rejects_unreducible_bases():
         nearest_lattice_point(Lattice2D(1.0, 1e-300), (0.3, 0.1))
     with pytest.raises(UnsupportedGeometryError):
         nearest_lattice_point(Lattice2D(1e20, 1.0), (0.3, 0.1))
+
+
+@pytest.mark.parametrize(
+    "rho, theta, x",
+    [
+        (1.0, 1.0, (1e200, 1e200)),  # the squared distance overflows
+        # every candidate lies at infinity, though the query itself is finite
+        (5.888395604104158, 0.5359628217517207, (7.593229450338728e305, 1.06775868131645e308)),
+    ],
+)
+def test_nearest_lattice_point_rejects_overflowing_queries(rho, theta, x):
+    with pytest.raises(ValueError, match="overflows double precision"):
+        nearest_lattice_point(Lattice2D(rho, theta), x)
 
 
 def test_babai_subdivision_degenerate():
