@@ -18,7 +18,7 @@ def closed_form(d: int) -> float:
 def main() -> None:
     print(f"{'depth':>5} {'entropy_bits':>20} {'closed_form':>20} {'gap_to_4':>12}")
     for depth in list(range(1, 13)) + [16, 20, 30]:
-        rate = sum_rate(bit_exchange_protocol(depth), depth)
+        rate = sum_rate(bit_exchange_protocol(depth))
         print(f"{depth:>5} {rate:>20.15f} {closed_form(depth):>20.15f} {4.0 - rate:>12.3e}")
     print()
     print(f"closed-form assembly: {assemble_four_bits()} bits")

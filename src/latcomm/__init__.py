@@ -59,15 +59,13 @@ from .protocol_engine import (
     rate_matches_partition_entropy,
 )
 from .converse_verification import (
-    ConstraintPolytope,
-    SelfSimilarDecomposition,
     assemble_four_bits,
     entropy_ratio,
+    quadrant_feasible,
     quadrant_grid_oracle,
     quadrant_min_entropy,
     minimize_entropy_ratio,
     run_all_checks,
-    self_similar_decomposition,
     self_similar_partition,
     side_conditional_entropy,
 )

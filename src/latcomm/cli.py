@@ -104,7 +104,7 @@ def emit_plot_data(
     elif which == "convergence":
         lines.append("depth,entropy_bits")
         for depth in range(1, min(resolution, engine.MAX_TREE_DEPTH) + 1):
-            rate = engine.sum_rate(engine.bit_exchange_protocol(depth), depth)
+            rate = engine.sum_rate(engine.bit_exchange_protocol(depth))
             lines.append(f"{depth},{rate!r}")
     elif which == "subdivision":
         if rho is None or theta is None:
@@ -209,8 +209,7 @@ def _run_partition_show(config: CommandConfig) -> tuple[dict, Optional[str], boo
     else:
         if opts["protocol"] != "bit-exchange":
             raise ValueError(f"unknown protocol {opts['protocol']!r}")
-        depth = opts.get("max_depth", 4)
-        part = engine.induced_partition(engine.bit_exchange_protocol(depth), depth)
+        part = engine.induced_partition(engine.bit_exchange_protocol(opts.get("max_depth", 4)))
     return part.to_json_dict(), None, False
 
 

@@ -10,10 +10,10 @@ bit-exchange transcript entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .partition_core import (
+    PROB_TOL,
     LabeledPartition,
     Rect,
     TargetFunction,
@@ -26,13 +26,11 @@ from .partition_core import (
 from .protocol_engine import bit_exchange_protocol, induced_partition, sum_rate
 
 __all__ = [
-    "ConstraintPolytope",
-    "SelfSimilarDecomposition",
+    "quadrant_feasible",
     "quadrant_min_entropy",
     "quadrant_grid_oracle",
     "entropy_ratio",
     "minimize_entropy_ratio",
-    "self_similar_decomposition",
     "self_similar_partition",
     "side_conditional_entropy",
     "assemble_four_bits",
@@ -40,52 +38,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstraintPolytope:
-    """Subset-sum bounds and totals for a pair of probability vectors.
+def quadrant_feasible(p: Sequence[float], q: Sequence[float]) -> bool:
+    """Membership in the quadrant example's constraint polytope, to 1e-12.
 
-    Each (m, bound) pair limits the sum of any m components, so feasibility
-    reduces to checking the m largest components of each vector.
+    The polytope asks that any m components of p sum to at most 1/4, with
+    total 1/4, and that any single q_i be at most 1/2 and any m >= 2
+    components of q sum to at most 3/4, with total 3/4.  For nonnegative
+    masses every subset sum is at most the total, so the subset bounds
+    reduce to the totals except for the single-component q bound.  The
+    polytope is therefore exactly: p >= 0 entrywise, sum(p) = 1/4, q >= 0
+    entrywise, sum(q) = 3/4 and max(q) <= 1/2.  An empty vector carries no
+    mass and is infeasible.
     """
-
-    p_bounds: tuple[tuple[int, float], ...]
-    q_bounds: tuple[tuple[int, float], ...]
-    p_total: float
-    q_total: float
-
-    def __post_init__(self) -> None:
-        for bounds in (self.p_bounds, self.q_bounds):
-            prev_per_unit = math.inf
-            for m, bound in bounds:
-                if m < 1 or bound <= 0.0:
-                    raise ValueError(f"invalid bound pair ({m}, {bound})")
-                if bound / m > prev_per_unit + 1e-12:
-                    raise ValueError("per-unit bounds must be nonincreasing in m")
-                prev_per_unit = bound / m
-
-    @classmethod
-    def quadrant_problem(cls, max_m: int = 8) -> "ConstraintPolytope":
-        """Quadrant problem: p subset sums <= 1/4; q_i <= 1/2, q pairs+ <= 3/4."""
-        p_bounds = tuple((m, 0.25) for m in range(1, max_m + 1))
-        q_bounds = ((1, 0.5),) + tuple((m, 0.75) for m in range(2, max_m + 1))
-        return cls(p_bounds, q_bounds, 0.25, 0.75)
-
-    @staticmethod
-    def _side_ok(vec: Sequence[float], bounds, total, tol) -> bool:
-        vals = sorted((float(v) for v in vec), reverse=True)
-        if vals and vals[-1] < -tol:
-            return False
-        if abs(math.fsum(vals) - total) > tol:
-            return False
-        for m, bound in bounds:
-            if math.fsum(vals[:m]) > bound + tol:
-                return False
-        return True
-
-    def is_feasible(self, p: Sequence[float], q: Sequence[float], tol: float = 1e-12) -> bool:
-        return self._side_ok(p, self.p_bounds, self.p_total, tol) and self._side_ok(
-            q, self.q_bounds, self.q_total, tol
-        )
+    return (
+        all(v >= -PROB_TOL for v in p)
+        and abs(math.fsum(p) - 0.25) <= PROB_TOL
+        and all(v >= -PROB_TOL for v in q)
+        and abs(math.fsum(q) - 0.75) <= PROB_TOL
+        and all(v <= 0.5 + PROB_TOL for v in q)
+    )
 
 
 def quadrant_min_entropy() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], float]:
@@ -97,9 +68,12 @@ def quadrant_min_entropy() -> tuple[tuple[tuple[float, ...], tuple[float, ...]],
     zero-stripped) vertex is returned after a feasibility check.
     """
     vertex_p, vertex_q = (0.25,), (0.5, 0.25)
-    if not ConstraintPolytope.quadrant_problem().is_feasible(vertex_p, vertex_q):
+    if not quadrant_feasible(vertex_p, vertex_q):
         raise RuntimeError("minimizing vertex violates the polytope constraints")
     return (vertex_p, vertex_q), entropy_bits(vertex_p + vertex_q)
+
+
+_ORACLE_SUPPORT = 4
 
 
 def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -118,14 +92,15 @@ def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[t
     yield from rec(total, max_parts, max_part)
 
 
-def quadrant_grid_oracle(grid: int = 60, max_support: int = 4) -> float:
+def quadrant_grid_oracle(grid: int = 60) -> float:
     """Exhaustive grid search for the quadrant problem's entropy minimum.
 
-    Enumerates every feasible (p, q) with at most ``max_support`` support
-    points per side and components that are multiples of 1/grid.  Entropy is
-    concave, so its minimum over the polytope sits at a vertex; the vertex
-    coordinates (1/4 and 1/2) lie on any grid divisible by 4, making the
-    search exhaustive for the minimum despite the discretization.
+    Enumerates every feasible (p, q) with at most four support points per
+    side and components that are multiples of 1/grid; the minimizing vertex
+    needs one point for p and two for q.  Entropy is concave, so its minimum
+    over the polytope sits at a vertex; the vertex coordinates (1/4 and 1/2)
+    lie on any grid divisible by 4, making the search exhaustive for the
+    minimum despite the discretization.
     """
     if grid % 4 != 0 or grid < 8:
         raise ValueError("grid must be a multiple of 4, at least 8")
@@ -134,9 +109,9 @@ def quadrant_grid_oracle(grid: int = 60, max_support: int = 4) -> float:
     q_cap = grid // 2
     best = math.inf
     q_entropies = []
-    for q_part in _bounded_partitions(q_units, max_support, q_cap):
+    for q_part in _bounded_partitions(q_units, _ORACLE_SUPPORT, q_cap):
         q_entropies.append(entropy_bits([u / grid for u in q_part]))
-    for p_part in _bounded_partitions(p_units, max_support, p_units):
+    for p_part in _bounded_partitions(p_units, _ORACLE_SUPPORT, p_units):
         h_p = entropy_bits([u / grid for u in p_part])
         for h_q in q_entropies:
             if h_p + h_q < best:
@@ -187,41 +162,6 @@ def minimize_entropy_ratio(tolerance: float = 1e-6) -> tuple[float, float]:
     return v_star, value
 
 
-@dataclass(frozen=True)
-class SelfSimilarDecomposition:
-    """One level of the corner-rectangle decomposition of the lower triangle.
-
-    The rectangle spans [v,1] x [0,v]; regions A (inside [0,v]^2) and B
-    (inside [v,1]^2) are copies of the triangle scaled by v and 1-v.  The
-    conditional masses given the lower triangle are (v^2, 2v(1-v), (1-v)^2)
-    for (A, rectangle, B).
-    """
-
-    v: float
-    r_star: Rect
-    a_square: Rect
-    b_square: Rect
-    depth: int
-
-    def conditional_probs(self) -> tuple[float, float, float]:
-        w = 1.0 - self.v
-        return (self.v * self.v, 2.0 * self.v * w, w * w)
-
-
-def self_similar_decomposition(v: float, depth: int = 1) -> SelfSimilarDecomposition:
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return SelfSimilarDecomposition(
-        v=v,
-        r_star=Rect(v, 1.0, 0.0, v),
-        a_square=Rect(0.0, v, 0.0, v),
-        b_square=Rect(v, 1.0, v, 1.0),
-        depth=depth,
-    )
-
-
 def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     """Recursive corner-rectangle partition for the ordering function.
 
@@ -229,8 +169,12 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     corner on the diagonal at lo + v*(hi-lo) and its mirror image on the q
     side, then recurses into the two remaining diagonal squares.  Squares
     left after ``depth`` levels stay as undecided residual cells, so every
-    truncation is a genuine partition of the unit square.  At v = 1/2 the
-    cells coincide with the bit-exchange protocol's induced partition.
+    truncation is a genuine partition of the unit square.  Given the lower
+    triangle, the first level splits it into the lower half of [0,v]^2, the
+    corner rectangle [v,1] x [0,v] and the lower half of [v,1]^2, with
+    conditional masses (v^2, 2v(1-v), (1-v)^2): the distribution behind
+    :func:`entropy_ratio`.  At v = 1/2 the cells coincide with the
+    bit-exchange protocol's induced partition.
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
@@ -302,7 +246,7 @@ def run_all_checks(include_oracle: bool = True) -> dict:
         quadrant_report["oracle_min_bits"] = oracle_min
 
     partitions = [
-        induced_partition(bit_exchange_protocol(d), d) for d in range(1, 11)
+        induced_partition(bit_exchange_protocol(d)) for d in range(1, 11)
     ] + [self_similar_partition(v, 8) for v in (0.3, 0.5, 0.7)]
     bounds_ok = all(
         satisfies_staircase_bounds(part) and is_zero_error(part, TargetFunction.MIN_INDICATOR)
@@ -324,7 +268,7 @@ def run_all_checks(include_oracle: bool = True) -> dict:
 
     v_star, ratio_min = minimize_entropy_ratio(1e-6)
     total_bits = assemble_four_bits()
-    deep_rate = sum_rate(bit_exchange_protocol(30), 30)
+    deep_rate = sum_rate(bit_exchange_protocol(30))
     ratio_ok = (
         abs(v_star - 0.5) <= 1e-6
         and abs(ratio_min - 3.0) <= 1e-9

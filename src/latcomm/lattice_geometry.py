@@ -302,8 +302,11 @@ class BabaiSubdivision:
     """Rectangular refinement of the Babai cell against the Voronoi boundary."""
 
     lattice: Lattice2D
-    babai_cell: Rect
     cells: tuple[SubdivisionCell, ...]
+
+    @property
+    def babai_cell(self) -> Rect:
+        return babai_cell(self.lattice)
 
     @property
     def degenerate(self) -> bool:
@@ -319,9 +322,8 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     raises :class:`UnsupportedGeometryError` rather than guessing.
     """
     c, h = lat.c, lat.h
-    cell = babai_cell(lat)
     if c <= _GEOM_TOL * lat.rho:
-        return BabaiSubdivision(lat, cell, (SubdivisionCell(cell, True),))
+        return BabaiSubdivision(lat, (SubdivisionCell(babai_cell(lat), True),))
     if c >= 1.0 - _GEOM_TOL:
         raise UnsupportedGeometryError(
             f"rho*cos(theta) = {c} >= 1: Babai cell is not refined by corner cuts"
@@ -349,7 +351,7 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
         SubdivisionCell(Rect(m, 0.5, -y_c, y_c), True),
         SubdivisionCell(Rect(m, 0.5, -top, -y_c), False, seg_lr, (1, -1)),
     )
-    return BabaiSubdivision(lat, cell, cells)
+    return BabaiSubdivision(lat, cells)
 
 
 @dataclass(frozen=True)
@@ -438,9 +440,10 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
 
 def subdivision_to_json(sub: BabaiSubdivision) -> dict:
     """JSON-ready description: babai_cell extents plus per-cell rect/flag/prob."""
-    area = sub.babai_cell.area
+    cell = sub.babai_cell
+    area = cell.area
     return {
-        "babai_cell": sub.babai_cell.as_list(),
+        "babai_cell": cell.as_list(),
         "cells": [
             {
                 "rect": c.rect.as_list(),

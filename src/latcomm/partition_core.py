@@ -46,6 +46,9 @@ PROB_TOL = 1e-12
 # Cells may share edges; all containment/overlap tests are on open interiors.
 _EDGE_TOL = 1e-12
 _UNIT_TOL = 1e-9
+# Stopping rule of maximize_staircase_numeric.
+_STAIRCASE_GRAD_TOL = 1e-12
+_STAIRCASE_MAX_STEPS = 200_000
 
 
 def entropy_bits(probs: Iterable[float]) -> float:
@@ -94,10 +97,10 @@ class Rect:
         """Sort key: lower-left corner first, then upper-right."""
         return (self.x_lo, self.y_lo, self.x_hi, self.y_hi)
 
-    def interior_overlaps(self, other: "Rect", tol: float = _EDGE_TOL) -> bool:
+    def interior_overlaps(self, other: "Rect") -> bool:
         return (
-            min(self.x_hi, other.x_hi) - max(self.x_lo, other.x_lo) > tol
-            and min(self.y_hi, other.y_hi) - max(self.y_lo, other.y_lo) > tol
+            min(self.x_hi, other.x_hi) - max(self.x_lo, other.x_lo) > _EDGE_TOL
+            and min(self.y_hi, other.y_hi) - max(self.y_lo, other.y_lo) > _EDGE_TOL
         )
 
 
@@ -113,11 +116,6 @@ class TargetFunction(Enum):
     MIN_INDICATOR = "min_indicator"
     #: f = 1 iff x1 > 1/2 and x2 > 1/2 (upper-right quadrant).
     QUADRANT = "quadrant"
-
-    def evaluate(self, x1: float, x2: float) -> int:
-        if self is TargetFunction.MIN_INDICATOR:
-            return 1 if x1 >= x2 else 0
-        return 1 if (x1 > 0.5 and x2 > 0.5) else 0
 
 
 def _check_disjoint_interiors(rects: Sequence[Rect]) -> None:
@@ -226,7 +224,11 @@ class LabeledPartition:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledPartition":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("partition JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def partition_entropy(part: LabeledPartition) -> float:
@@ -295,12 +297,11 @@ def _subtract(r: Rect, s: Rect) -> list[Rect]:
     return pieces
 
 
-def readjust_max_rectangle(
-    part: LabeledPartition,
-    f: TargetFunction = TargetFunction.MIN_INDICATOR,
-) -> LabeledPartition:
+def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     """Grow the largest p-cell into the corner rectangle [v,1] x [0,v].
 
+    The move is defined for the ordering function only
+    (:attr:`TargetFunction.MIN_INDICATOR`, p-cells below the diagonal).
     ``v`` is the cell's current top edge, so the grown rectangle keeps its
     upper-left corner on the diagonal and gains the lower-right corner (1,0).
     Cells swallowed by the grown rectangle are dropped, partially covered
@@ -309,8 +310,6 @@ def readjust_max_rectangle(
     whenever no donor cell is larger than the chosen p-cell (always true for
     partitions whose residual squares sit on the diagonal).
     """
-    if f is not TargetFunction.MIN_INDICATOR:
-        raise ValueError("readjustment is defined for the ordering function only")
     p_cells = [(r, lbl) for r, lbl in part.cells if lbl == "p"]
     if not p_cells:
         raise ValueError("partition has no p-labeled cells")
@@ -373,28 +372,26 @@ def staircase_max(m: int) -> tuple[StaircaseProfile, float]:
     return profile, _staircase_bound(m)
 
 
-def maximize_staircase_numeric(
-    m: int,
-    grad_tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> tuple[StaircaseProfile, float]:
+def maximize_staircase_numeric(m: int) -> tuple[StaircaseProfile, float]:
     """Projected-gradient maximization of :func:`staircase_area`.
 
     Independent numerical route: never consults the closed form.  The area is
     a concave quadratic with gradient x_{i-1} + x_{i+1} - 2 x_i (boundary
-    values 0 and 1), so gradient ascent with step 1/4 is a contraction.
+    values 0 and 1), so gradient ascent with step 1/4 is a contraction.  The
+    ascent stops once every gradient component is below 1e-12, or after
+    200,000 steps.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.arange(1, m + 1, dtype=float) / (m + 2.0)
     step = 0.25
-    for _ in range(max_iter):
+    for _ in range(_STAIRCASE_MAX_STEPS):
         ext = np.concatenate(([0.0], x, [1.0]))
         grad = ext[:-2] + ext[2:] - 2.0 * ext[1:-1]
         x += step * grad
         np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
         np.maximum.accumulate(x, out=x)
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < _STAIRCASE_GRAD_TOL:
             break
     profile = StaircaseProfile(tuple(float(v) for v in x))
     return profile, staircase_area(profile)

@@ -52,15 +52,15 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Transcript:
-    """One execution: message symbols, stopping time, decided value or None."""
+    """One execution: message symbols and the decided value or None."""
 
     messages: tuple[int, ...]
-    stopping_time: int
     output: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.stopping_time != len(self.messages):
-            raise ValueError("stopping time must equal the transcript length")
+    @property
+    def stopping_time(self) -> int:
+        """Number of messages sent before the protocol stopped."""
+        return len(self.messages)
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,11 @@ def make_node(speaker, i1, i2, bounds, children) -> _Node:
 class ProtocolTree:
     """Protocol root plus the expansion rule for lazily built trees."""
 
-    def __init__(self, root, max_depth: int, name: str = "custom", expander=None):
+    def __init__(self, root, max_depth: int, expander=None):
         if max_depth < 0 or max_depth > MAX_TREE_DEPTH:
             raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}]")
         self.root = root
         self.max_depth = max_depth
-        self.name = name
         self._expander = expander
 
     def child(self, node: _Node, i: int):
@@ -175,15 +174,14 @@ def bit_exchange_protocol(max_depth: int) -> ProtocolTree:
     Differing bits at round k order the inputs: the strings share a prefix, so
     whichever party sent the 1 holds the larger value, and both sides stop
     after message 2k.  Equal inputs never separate; the tree caps at
-    ``max_depth`` rounds with undecided leaves beyond.
+    ``max_depth`` rounds with undecided leaves beyond; :class:`ProtocolTree`
+    rejects depths above ``MAX_TREE_DEPTH``.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if max_depth > MAX_TREE_DEPTH:
-        raise ValueError(f"max_depth must be <= {MAX_TREE_DEPTH}")
     unit = (0.0, 1.0)
     root = _Node(1, unit, unit, _interval_split(*unit), tag=("s1", 1))
-    return ProtocolTree(root, max_depth, name="bit-exchange", expander=_bx_expander)
+    return ProtocolTree(root, max_depth, expander=_bx_expander)
 
 
 def one_round_quadrant_protocol() -> ProtocolTree:
@@ -202,13 +200,13 @@ def one_round_quadrant_protocol() -> ProtocolTree:
         [make_leaf(0, (0.5, 1.0), (0.0, 0.5)), make_leaf(1, (0.5, 1.0), (0.5, 1.0))],
     )
     root = make_node(1, unit, unit, (0.0, 0.5, 1.0), [lo_leaf, inner])
-    return ProtocolTree(root, 1, name="one-round-quadrant")
+    return ProtocolTree(root, 1)
 
 
 def trivial_protocol() -> ProtocolTree:
     """Zero-message tree: a single undecided leaf covering the square."""
     unit = (0.0, 1.0)
-    return ProtocolTree(make_leaf(None, unit, unit), 0, name="trivial")
+    return ProtocolTree(make_leaf(None, unit, unit), 0)
 
 
 def run_protocol(tree: ProtocolTree, x1: float, x2: float) -> Transcript:
@@ -222,7 +220,7 @@ def run_protocol(tree: ProtocolTree, x1: float, x2: float) -> Transcript:
         i = bisect_right(node.bounds, x) - 1
         messages.append(i)
         node = tree.child(node, i)
-    return Transcript(tuple(messages), len(messages), node.value)
+    return Transcript(tuple(messages), node.value)
 
 
 def _iter_leaves(tree: ProtocolTree) -> Iterator[_Leaf]:
@@ -236,16 +234,14 @@ def _iter_leaves(tree: ProtocolTree) -> Iterator[_Leaf]:
             stack.append(tree.child(node, i))
 
 
-def induced_partition(tree: ProtocolTree, max_depth: int) -> LabeledPartition:
+def induced_partition(tree: ProtocolTree) -> LabeledPartition:
     """One rectangle per leaf: the product of the two admissible intervals.
 
     Decided leaves become p/q cells, undecided leaves residual cells.  Leaf
-    enumeration is exponential in depth, so trees deeper than
+    enumeration is exponential in depth, so trees whose ``max_depth`` exceeds
     ``_ENUM_DEPTH_LIMIT`` rounds are rejected; aggregate quantities of deep
     trees are available through :func:`sum_rate` instead.
     """
-    if tree.max_depth > max_depth:
-        raise ValueError("tree is deeper than the stated max_depth")
     if tree.max_depth > _ENUM_DEPTH_LIMIT:
         raise ValueError(
             f"refusing to enumerate ~4^{tree.max_depth} leaves; "
@@ -294,22 +290,21 @@ def _leaf_profile(tree: ProtocolTree) -> dict[float, int]:
     return prof(tree.root)
 
 
-def sum_rate(tree: ProtocolTree, max_depth: int) -> float:
+def sum_rate(tree: ProtocolTree) -> float:
     """Entropy in bits of the (transcript, stopping time) pair.
 
     The stopping time is a function of the transcript, so this equals the
-    entropy of the leaf-probability vector.
+    entropy of the leaf-probability vector.  The depth is the tree's own
+    ``max_depth``: its undecided leaves at that depth are part of the vector.
     """
-    if tree.max_depth > max_depth:
-        raise ValueError("tree is deeper than the stated max_depth")
     profile = _leaf_profile(tree)
     return math.fsum(-count * p * math.log2(p) for p, count in profile.items() if p > 0.0)
 
 
-def rate_matches_partition_entropy(tree: ProtocolTree, max_depth: int) -> bool:
+def rate_matches_partition_entropy(tree: ProtocolTree) -> bool:
     """Sum rate equals the induced-partition entropy, to 1e-12."""
-    rate = sum_rate(tree, max_depth)
-    ent = partition_entropy(induced_partition(tree, max_depth))
+    rate = sum_rate(tree)
+    ent = partition_entropy(induced_partition(tree))
     return abs(rate - ent) <= 1e-12
 
 

@@ -59,7 +59,7 @@ def test_criterion_3_entropy_ratio_minimum():
 def test_criterion_4_quadrant_minimum():
     start = time.perf_counter()
     (vp, vq), value = lc.quadrant_min_entropy()
-    oracle_min = lc.quadrant_grid_oracle(grid=120, max_support=4)
+    oracle_min = lc.quadrant_grid_oracle(grid=120)
     elapsed = time.perf_counter() - start
     ok = (
         value == 1.5
@@ -86,18 +86,18 @@ def test_criterion_5_staircase_maximum():
 
 
 def test_criterion_6_rate_equals_partition_entropy():
-    ok = all(lc.rate_matches_partition_entropy(lc.bit_exchange_protocol(d), d) for d in range(1, 13))
-    ok = ok and lc.rate_matches_partition_entropy(lc.one_round_quadrant_protocol(), 1)
+    ok = all(lc.rate_matches_partition_entropy(lc.bit_exchange_protocol(d)) for d in range(1, 13))
+    ok = ok and lc.rate_matches_partition_entropy(lc.one_round_quadrant_protocol())
     report(6, ok, "sum rate equals partition entropy for depths 1..12 and the one-round scheme")
 
 
 def test_criterion_7_closed_form_truncation():
     diffs = []
     for d in range(1, 13):
-        rate = lc.sum_rate(lc.bit_exchange_protocol(d), d)
+        rate = lc.sum_rate(lc.bit_exchange_protocol(d))
         diffs.append(abs(rate - closed_form_truncated_bits(d)))
-    first = lc.sum_rate(lc.bit_exchange_protocol(1), 1)
-    second = lc.sum_rate(lc.bit_exchange_protocol(2), 2)
+    first = lc.sum_rate(lc.bit_exchange_protocol(1))
+    second = lc.sum_rate(lc.bit_exchange_protocol(2))
     ok = max(diffs) < 1e-12 and first == 2.0 and second == 3.0
     report(7, ok, f"max deviation {max(diffs):.2e}; d=1 gives {first}, d=2 gives {second}")
 

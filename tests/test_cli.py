@@ -352,6 +352,7 @@ def test_stdout_holds_only_the_rendered_report(capsys):
         '{"cells": [{"rect": [0, 1, 0, 1e999], "label": "u"}]}',
         '{"cells": [{"rect": "0 1 0 1", "label": "u"}]}',
         '{"cells": [{"rect": [0, 1, 0, 1], "label": "u", "prob": "1"}]}',
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ],
 )
 def test_partition_show_rejects_malformed_json(tmp_path, capsys, text):

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcomm import (
-    ConstraintPolytope,
     TargetFunction,
     assemble_four_bits,
     bit_exchange_protocol,
     entropy_bits,
     entropy_ratio,
+    quadrant_feasible,
     quadrant_grid_oracle,
     quadrant_min_entropy,
     induced_partition,
@@ -17,7 +17,6 @@ from latcomm import (
     minimize_entropy_ratio,
     partition_entropy,
     run_all_checks,
-    self_similar_decomposition,
     self_similar_partition,
     side_conditional_entropy,
     sum_rate,
@@ -36,17 +35,19 @@ def test_quadrant_vertex_and_value():
 
 def test_quadrant_non_vertex_point_is_worse():
     # p = (1/4), q = (1/4, 1/4, 1/4) is feasible but not a vertex
-    poly = ConstraintPolytope.quadrant_problem()
-    assert poly.is_feasible((0.25,), (0.25, 0.25, 0.25))
+    assert quadrant_feasible((0.25,), (0.25, 0.25, 0.25))
     assert entropy_bits((0.25, 0.25, 0.25, 0.25)) == 2.0 > 1.5
 
 
 def test_quadrant_constraints():
-    poly = ConstraintPolytope.quadrant_problem()
-    assert poly.is_feasible((0.25,), (0.5, 0.25))
-    assert not poly.is_feasible((0.25,), (0.6, 0.15))  # q_i <= 1/2 violated
-    assert not poly.is_feasible((0.3,), (0.5, 0.2))  # p subset sum over 1/4
-    assert not poly.is_feasible((0.25,), (0.5, 0.2))  # totals off
+    assert quadrant_feasible((0.25,), (0.5, 0.25))
+    assert not quadrant_feasible((0.25,), (0.6, 0.15))  # q_i <= 1/2 violated
+    assert not quadrant_feasible((0.3,), (0.5, 0.2))  # p mass over 1/4
+    assert not quadrant_feasible((0.25,), (0.5, 0.2))  # totals off
+    assert not quadrant_feasible((0.5, -0.25), (0.5, 0.25))  # negative p mass
+    assert not quadrant_feasible((0.25,), (0.5, 0.5, -0.25))  # negative q mass
+    assert not quadrant_feasible((), (0.5, 0.25))  # no p mass at all
+    assert not quadrant_feasible((0.25,), ())
 
 
 def test_quadrant_grid_oracle():
@@ -89,7 +90,7 @@ def test_self_similar_depth1_matches_quarter_split():
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_self_similar_half_equals_bit_exchange(depth):
     ours = self_similar_partition(0.5, depth)
-    induced = induced_partition(bit_exchange_protocol(depth), depth)
+    induced = induced_partition(bit_exchange_protocol(depth))
     key = lambda part: (
         sorted((r.corner_key(), lbl) for r, lbl in part.cells),
         sorted(r.corner_key() for r in part.residual),
@@ -161,19 +162,26 @@ def test_half_partition_meets_staircase_bounds_with_equality():
 
 def test_assemble_four_bits():
     assert assemble_four_bits() == 4.0
-    gap = 4.0 - sum_rate(bit_exchange_protocol(30), 30)
+    gap = 4.0 - sum_rate(bit_exchange_protocol(30))
     assert 0.0 < gap < 1e-7
 
 
-def test_decomposition_dataclass():
-    dec = self_similar_decomposition(0.25, depth=2)
-    assert dec.r_star.corner_key() == (0.25, 0.0, 1.0, 0.25)
-    assert dec.a_square.area == pytest.approx(0.0625)
-    probs = dec.conditional_probs()
+def test_self_similar_partition_one_level():
+    part = self_similar_partition(0.25, 1)
+    r_star = next(r for r, lbl in part.cells if lbl == "p")
+    assert r_star.corner_key() == (0.25, 0.0, 1.0, 0.25)
+    a_square, b_square = sorted(part.residual, key=lambda r: r.corner_key())
+    assert a_square.area == pytest.approx(0.0625)
+    assert b_square.area == pytest.approx(0.5625)
+    # conditional masses given the lower triangle: (v^2, 2v(1-v), (1-v)^2)
+    probs = (a_square.area, 2 * r_star.area, b_square.area)
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
     assert probs[1] == pytest.approx(2 * 0.25 * 0.75, abs=1e-15)
+    assert side_conditional_entropy(part, "p") == pytest.approx(
+        entropy_ratio(0.25) * 2 * 0.25 * 0.75, abs=1e-15
+    )
     with pytest.raises(ValueError):
-        self_similar_decomposition(1.5)
+        self_similar_partition(1.5, 1)
 
 
 def test_run_all_checks_passes():

@@ -2,8 +2,9 @@
 
 Each ``tests/golden/<name>.out`` holds the stdout that ``latcomm <argv>``
 printed when it was recorded.  The commands stay inside the supported lattice
-domain and cover every serialization path: JSON, CSV, the subdivision table,
-seeded Monte Carlo and the verification report.
+domain and cover every serialization path: JSON, CSV, the human-readable
+format, the subdivision table, the plot tables, seeded Monte Carlo, the
+nearest-point query and the verification report.
 """
 
 from pathlib import Path
@@ -36,6 +37,17 @@ GOLDEN = {
     "plot_subdivision": ("plot-data", "--which", "subdivision", "--rho", "1", "--theta", "1.0"),
     "optimize_ratio": ("optimize-ratio", "--json"),
     "simulate_70000": ("simulate", "--samples", "70000", "--max-depth", "6", "--json"),
+    "simulate_70000_csv": (
+        "simulate", "--samples", "70000", "--max-depth", "6", "--format", "csv",
+    ),
+    "convergence": ("plot-data", "--which", "convergence"),
+    "ratio_curve_16": ("plot-data", "--which", "ratio-curve", "--resolution", "16"),
+    "nearest_2.5_0.3": (
+        "lattice-nearest", "--rho", "2.5", "--theta", "0.3", "--x", "0.52", "--y", "-0.26",
+        "--json",
+    ),
+    "verify_human": ("verify", "converse"),
+    "entropy_ratio_human": ("entropy-ratio", "--v", "0.3"),
 }
 
 

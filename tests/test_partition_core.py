@@ -134,7 +134,7 @@ def test_schur_concavity_bulk():
 
 def test_readjust_fixed_point():
     part = quarter_partition()
-    out = readjust_max_rectangle(part, MIN)
+    out = readjust_max_rectangle(part)
     assert sorted(r.corner_key() for r, _ in out.cells) == sorted(
         r.corner_key() for r, _ in part.cells
     )
@@ -153,7 +153,7 @@ def test_readjust_grows_to_corner_rectangle():
     # residual here is only padding to make a full partition; zero-error
     # checks look at the labeled cells.
     part = LabeledPartition(cells, residual)
-    out = readjust_max_rectangle(part, MIN)
+    out = readjust_max_rectangle(part)
     p_rects = sorted((r.corner_key() for r, lbl in out.cells if lbl == "p"))
     assert p_rects[0] == (0.2, 0.0, 0.4, 0.1)
     assert p_rects[1] == (0.4, 0.0, 1.0, 0.4)
@@ -165,15 +165,10 @@ def test_readjust_majorizes_and_lowers_entropy():
     rng = np.random.default_rng(11)
     for _ in range(200):
         part = random_zero_error_partition(rng, max_depth=4)
-        out = readjust_max_rectangle(part, MIN)
+        out = readjust_max_rectangle(part)
         assert is_zero_error(out, MIN)
         assert majorizes(out.all_probs(), part.all_probs())
         assert partition_entropy(out) <= partition_entropy(part) + 1e-12
-
-
-def test_readjust_rejects_quadrant():
-    with pytest.raises(ValueError):
-        readjust_max_rectangle(quarter_partition(), QUAD)
 
 
 def test_staircase_area_examples():
@@ -306,7 +301,7 @@ def test_staircase_bounds_match_exact_subset_oracle():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_staircase_bounds_dyadic_equality(depth):
     # Depth-d bit exchange has 2^d - 1 p-cells summing to exactly m/(2(m+1)).
-    part = induced_partition(bit_exchange_protocol(depth), depth)
+    part = induced_partition(bit_exchange_protocol(depth))
     m = len(part.p_probs())
     assert m == 2**depth - 1
     assert math.fsum(part.p_probs()) == m / (2 * (m + 1))

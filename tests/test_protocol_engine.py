@@ -76,7 +76,7 @@ def test_first_bits_differ_means_two_messages():
 
 
 def test_induced_partition_depth1():
-    part = induced_partition(bit_exchange_protocol(1), 1)
+    part = induced_partition(bit_exchange_protocol(1))
     decided = sorted((r.corner_key(), lbl) for r, lbl in part.cells)
     assert decided == [
         ((0.0, 0.5, 0.5, 1.0), "q"),
@@ -90,24 +90,24 @@ def test_induced_partition_depth1():
 
 
 def test_induced_partition_depth2():
-    part = induced_partition(bit_exchange_protocol(2), 2)
+    part = induced_partition(bit_exchange_protocol(2))
     assert len(part.cells) == 6
     assert len(part.residual) == 4
     assert partition_entropy(part) == 3.0
 
 
 def test_trivial_tree():
-    part = induced_partition(trivial_protocol(), 0)
+    part = induced_partition(trivial_protocol())
     assert len(part.cells) == 0 and len(part.residual) == 1
     assert partition_entropy(part) == 0.0
-    assert rate_matches_partition_entropy(trivial_protocol(), 0)
+    assert rate_matches_partition_entropy(trivial_protocol())
 
 
 def test_leaf_level_probabilities():
     # 2^k decided leaves of probability 4^-k at round k;
     # 2^d undecided leaves of probability 4^-d at the cap.
     d = 6
-    part = induced_partition(bit_exchange_protocol(d), d)
+    part = induced_partition(bit_exchange_protocol(d))
     for k in range(1, d + 1):
         decided_k = [r for r, _ in part.cells if abs(r.area - 4.0**-k) < 1e-15]
         assert len(decided_k) == 2**k
@@ -117,38 +117,38 @@ def test_leaf_level_probabilities():
 
 def test_decided_leaves_are_zero_error():
     for d in (1, 3, 6):
-        part = induced_partition(bit_exchange_protocol(d), d)
+        part = induced_partition(bit_exchange_protocol(d))
         assert is_zero_error(part, TargetFunction.MIN_INDICATOR)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_sum_rate_closed_form(d):
     tree = bit_exchange_protocol(d)
-    assert abs(sum_rate(tree, d) - closed_form_truncated_bits(d)) < 1e-12
+    assert abs(sum_rate(tree) - closed_form_truncated_bits(d)) < 1e-12
 
 
 def test_sum_rate_values_and_convergence():
-    assert sum_rate(bit_exchange_protocol(1), 1) == 2.0
-    assert sum_rate(bit_exchange_protocol(2), 2) == 3.0
-    rates = [sum_rate(bit_exchange_protocol(d), d) for d in range(1, 16)]
+    assert sum_rate(bit_exchange_protocol(1)) == 2.0
+    assert sum_rate(bit_exchange_protocol(2)) == 3.0
+    rates = [sum_rate(bit_exchange_protocol(d)) for d in range(1, 16)]
     for d, (a, b) in enumerate(zip(rates, rates[1:]), start=1):
         assert b >= a
         assert b - a <= 2.0**-d * (2 * d + 2) + 1e-15
-    assert abs(sum_rate(bit_exchange_protocol(30), 30) - 4.0) < 1e-7
+    assert abs(sum_rate(bit_exchange_protocol(30)) - 4.0) < 1e-7
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_rate_identity_bit_exchange(d):
-    assert rate_matches_partition_entropy(bit_exchange_protocol(d), d)
+    assert rate_matches_partition_entropy(bit_exchange_protocol(d))
 
 
 def test_rate_identity_quadrant():
     tree = one_round_quadrant_protocol()
-    assert sum_rate(tree, 1) == 1.5
-    part = induced_partition(tree, 1)
+    assert sum_rate(tree) == 1.5
+    part = induced_partition(tree)
     assert sorted(part.all_probs()) == [0.25, 0.25, 0.5]
     assert is_zero_error(part, TargetFunction.QUADRANT)
-    assert rate_matches_partition_entropy(tree, 1)
+    assert rate_matches_partition_entropy(tree)
 
 
 def test_markov_structure_messages_depend_only_on_own_input():
@@ -189,8 +189,8 @@ def test_ternary_alphabet_protocol():
     unit = (0.0, 1.0)
     thirds = (0.0, 1 / 3, 2 / 3, 1.0)
     children = [make_leaf(i % 2, (thirds[i], thirds[i + 1]), unit) for i in range(3)]
-    tree = ProtocolTree(make_node(1, unit, unit, thirds, children), 1, name="ternary")
-    assert abs(sum_rate(tree, 1) - math.log2(3)) < 1e-12
+    tree = ProtocolTree(make_node(1, unit, unit, thirds, children), 1)
+    assert abs(sum_rate(tree) - math.log2(3)) < 1e-12
     t = run_protocol(tree, 0.5, 0.5)
     assert t.messages == (1,) and t.stopping_time == 1
     stats = monte_carlo(tree, 4096, seed=5)
@@ -283,9 +283,7 @@ def test_monte_carlo_validates_samples():
 def test_depth_limits():
     with pytest.raises(ValueError):
         bit_exchange_protocol(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be in \[0, 50\]"):
         bit_exchange_protocol(51)
     with pytest.raises(ValueError):
-        induced_partition(bit_exchange_protocol(30), 30)  # enumeration refused
-    with pytest.raises(ValueError):
-        sum_rate(bit_exchange_protocol(5), 4)  # deeper than stated bound
+        induced_partition(bit_exchange_protocol(30))  # enumeration refused
