@@ -17,6 +17,7 @@ from .partition_core import (
     LabeledPartition,
     Rect,
     TargetFunction,
+    check_partition_depth,
     entropy_bits,
     is_zero_error,
     maximize_staircase_numeric,
@@ -178,8 +179,9 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if not 1 <= depth <= 30:
-        raise ValueError("depth must lie in [1, 30]")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    check_partition_depth(depth)
     cells: list[tuple[Rect, str]] = []
     residual: list[Rect] = []
 

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "PROB_TOL",
+    "MAX_PARTITION_DEPTH",
     "Rect",
     "TargetFunction",
     "LabeledPartition",
@@ -39,6 +40,7 @@ __all__ = [
     "staircase_max",
     "maximize_staircase_numeric",
     "satisfies_staircase_bounds",
+    "check_partition_depth",
 ]
 
 PROB_TOL = 1e-12
@@ -49,6 +51,18 @@ _UNIT_TOL = 1e-9
 # Stopping rule of maximize_staircase_numeric.
 _STAIRCASE_GRAD_TOL = 1e-12
 _STAIRCASE_MAX_STEPS = 200_000
+# Deepest partition built cell by cell.  The self-similar and the bit-exchange
+# partitions of depth d have 3*2^d - 2 cells: 196,606 at depth 16.
+MAX_PARTITION_DEPTH = 16
+
+
+def check_partition_depth(depth: int) -> None:
+    """Reject a partition too deep to enumerate, stating its cell count."""
+    if depth > MAX_PARTITION_DEPTH:
+        raise ValueError(
+            f"a depth-{depth} partition has {3 * 2**depth - 2} cells; "
+            f"the limit is depth {MAX_PARTITION_DEPTH}"
+        )
 
 
 def entropy_bits(probs: Iterable[float]) -> float:

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .partition_core import LabeledPartition, Rect, partition_entropy
+from .partition_core import LabeledPartition, Rect, check_partition_depth, partition_entropy
 
 __all__ = [
     "Transcript",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 MAX_TREE_DEPTH = 50
-_ENUM_DEPTH_LIMIT = 20
 _CHUNK = 1 << 16
 
 
@@ -174,11 +173,10 @@ def bit_exchange_protocol(max_depth: int) -> ProtocolTree:
     Differing bits at round k order the inputs: the strings share a prefix, so
     whichever party sent the 1 holds the larger value, and both sides stop
     after message 2k.  Equal inputs never separate; the tree caps at
-    ``max_depth`` rounds with undecided leaves beyond; :class:`ProtocolTree`
-    rejects depths above ``MAX_TREE_DEPTH``.
+    ``max_depth`` rounds, 1 to ``MAX_TREE_DEPTH``, with undecided leaves beyond.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    if not 1 <= max_depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}]")
     unit = (0.0, 1.0)
     root = _Node(1, unit, unit, _interval_split(*unit), tag=("s1", 1))
     return ProtocolTree(root, max_depth, expander=_bx_expander)
@@ -238,15 +236,11 @@ def induced_partition(tree: ProtocolTree) -> LabeledPartition:
     """One rectangle per leaf: the product of the two admissible intervals.
 
     Decided leaves become p/q cells, undecided leaves residual cells.  Leaf
-    enumeration is exponential in depth, so trees whose ``max_depth`` exceeds
-    ``_ENUM_DEPTH_LIMIT`` rounds are rejected; aggregate quantities of deep
+    enumeration is exponential in depth, so trees deeper than
+    ``MAX_PARTITION_DEPTH`` rounds are rejected; aggregate quantities of deep
     trees are available through :func:`sum_rate` instead.
     """
-    if tree.max_depth > _ENUM_DEPTH_LIMIT:
-        raise ValueError(
-            f"refusing to enumerate ~4^{tree.max_depth} leaves; "
-            f"limit is {_ENUM_DEPTH_LIMIT} rounds"
-        )
+    check_partition_depth(tree.max_depth)
     cells: list[tuple[Rect, str]] = []
     residual: list[Rect] = []
     for leaf in _iter_leaves(tree):

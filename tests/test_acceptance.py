@@ -4,13 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines as they print).
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
 import numpy as np
 
 import latcomm as lc
-from latcomm.cli import DEFAULT_SEED, CommandConfig, dispatch
+from latcomm.cli import DEFAULT_SEED, main
 
 from oracles import (
     closed_form_truncated_bits,
@@ -28,12 +31,15 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_four_bit_optimum():
+    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    rep = dispatch(CommandConfig("verify", {"target": "converse", "all": True}, fmt="json"))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "converse", "--all", "--json"])
     elapsed = time.perf_counter() - start
-    total = rep.results["thm5"]["total_bits"]
-    deep = rep.results["thm5"]["sum_rate_depth30"]
-    ok = total == 4.0 and abs(deep - 4.0) < 1e-7 and not rep.failed and elapsed < 1.0
+    results = json.loads(out.getvalue())
+    total = results["thm5"]["total_bits"]
+    deep = results["thm5"]["sum_rate_depth30"]
+    ok = total == 4.0 and abs(deep - 4.0) < 1e-7 and code == 0 and elapsed < 1.0
     report(1, ok, f"total_bits={total}, depth-30 rate={deep}, {elapsed:.2f}s")
 
 

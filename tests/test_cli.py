@@ -10,14 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from latcomm import LabeledPartition, Lattice2D
 import latcomm.cli as cli_module
-from latcomm.cli import (
-    DEFAULT_SEED,
-    CommandConfig,
-    Report,
-    dispatch,
-    emit_plot_data,
-    main,
-)
+from latcomm.cli import DEFAULT_SEED, emit_plot_data, main
 
 from oracles import closed_form_truncated_bits
 
@@ -33,10 +26,10 @@ def test_default_seed_documented_constant():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CommandConfig("no-such-command")
-    with pytest.raises(ValueError):
-        CommandConfig("simulate", fmt="yaml")
+    for argv in (["no-such-command"], ["simulate", "--format", "yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_simulate_json_schema(capsys):
@@ -204,11 +197,13 @@ def test_simulate_transcript_dump(tmp_path, capsys):
         assert len(symbols) >= 2 and all(s in ("0", "1") for s in symbols)
 
 
-def test_dispatch_reports_inputs_and_elapsed():
-    report = dispatch(CommandConfig("entropy-ratio", {"v": 0.5}, fmt="json"))
-    assert isinstance(report, Report)
-    assert report.inputs["v"] == 0.5
-    assert report.inputs["seed"] == DEFAULT_SEED
+def test_dispatch_reports_inputs_and_elapsed(capsys):
+    code, out, err = run_cli(capsys, "entropy-ratio", "--v", "0.5")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  in  v = 0.5" in lines
+    assert f"  in  seed = {DEFAULT_SEED}" in lines
+    assert err.startswith("elapsed: ")
 
 
 @pytest.mark.parametrize(
@@ -315,9 +310,9 @@ def test_cli_survives_any_float(command, values):
 def test_elapsed_includes_rendering(capsys, monkeypatch):
     real_render = cli_module.render
 
-    def slow_render(report, fmt):
+    def slow_render(*args):
         time.sleep(0.2)
-        return real_render(report, fmt)
+        return real_render(*args)
 
     monkeypatch.setattr(cli_module, "render", slow_render)
     code, _, err = run_cli(capsys, "entropy-ratio", "--v", "0.5", "--json")
@@ -373,3 +368,38 @@ def test_plot_data_convergence_default_resolution(capsys):
     assert [int(d) for d, _ in rows] == list(range(1, 51))
     for d, value in rows:
         assert abs(float(value) - closed_form_truncated_bits(int(d))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate",),
+        ("lattice-rates", "--rho", "1", "--theta", "1.0"),
+        ("lattice-nearest", "--rho", "1", "--theta", "1.0", "--x", "0.1", "--y", "0.2"),
+        ("entropy-ratio", "--v", "0.3"),
+        ("optimize-ratio",),
+        ("partition-show", "--v", "0.3"),
+        ("partition-show", "--protocol", "bit-exchange"),
+        ("verify", "converse"),
+        ("plot-data", "--which", "ratio-curve"),
+        ("plot-data", "--which", "convergence"),
+        ("plot-data", "--which", "subdivision", "--rho", "1", "--theta", "1.0"),
+    ],
+)
+def test_every_subcommand_runs_at_its_parser_defaults(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("depth", ["0", "51"])
+def test_max_depth_range_is_one_message(capsys, depth):
+    code, out, err = run_cli(capsys, "simulate", "--samples", "10", "--max-depth", depth)
+    assert code == 2 and out == ""
+    assert err == "error: max_depth must be in [1, 50]\n"
+
+
+@pytest.mark.parametrize("source", [("--v", "0.3"), ("--protocol", "bit-exchange")])
+def test_partition_show_depth_limit(capsys, source):
+    code, out, err = run_cli(capsys, "partition-show", *source, "--max-depth", "17")
+    assert code == 2 and out == ""
+    assert err == "error: a depth-17 partition has 393214 cells; the limit is depth 16\n"

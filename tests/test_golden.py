@@ -48,6 +48,12 @@ GOLDEN = {
     ),
     "verify_human": ("verify", "converse"),
     "entropy_ratio_human": ("entropy-ratio", "--v", "0.3"),
+    "simulate_70000_human": ("simulate", "--samples", "70000", "--max-depth", "6"),
+    "rates_hex_human": ("lattice-rates", "--rho", "1", "--theta", HEX),
+    "partition_v0.3_human": ("partition-show", "--v", "0.3", "--max-depth", "2"),
+    "ratio_curve_16_human": (
+        "plot-data", "--which", "ratio-curve", "--resolution", "16", "--format", "human",
+    ),
 }
 
 

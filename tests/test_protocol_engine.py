@@ -281,9 +281,8 @@ def test_monte_carlo_validates_samples():
 
 
 def test_depth_limits():
-    with pytest.raises(ValueError):
-        bit_exchange_protocol(0)
-    with pytest.raises(ValueError, match=r"must be in \[0, 50\]"):
-        bit_exchange_protocol(51)
-    with pytest.raises(ValueError):
-        induced_partition(bit_exchange_protocol(30))  # enumeration refused
+    for depth in (0, 51):
+        with pytest.raises(ValueError, match=r"must be in \[1, 50\]"):
+            bit_exchange_protocol(depth)
+    with pytest.raises(ValueError, match="393214 cells"):
+        induced_partition(bit_exchange_protocol(17))  # enumeration refused
