@@ -10,7 +10,6 @@ verification suite showing the four-bit total is optimal.
 from .partition_core import (
     LabeledPartition,
     Rect,
-    StaircaseProfile,
     TargetFunction,
     entropy_bits,
     is_zero_error,

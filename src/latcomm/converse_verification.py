@@ -24,7 +24,7 @@ from .partition_core import (
     staircase_max,
     satisfies_staircase_bounds,
 )
-from .protocol_engine import bit_exchange_protocol, induced_partition, sum_rate
+from .protocol_engine import bit_exchange_protocol, check_max_depth, induced_partition, sum_rate
 
 __all__ = [
     "quadrant_feasible",
@@ -179,8 +179,7 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_max_depth(depth)
     check_partition_depth(depth)
     cells: list[tuple[Rect, str]] = []
     residual: list[Rect] = []
@@ -260,7 +259,7 @@ def run_all_checks(include_oracle: bool = True) -> dict:
         numeric_profile, numeric = maximize_staircase_numeric(m)
         staircase_ok = staircase_ok and abs(closed - numeric) <= 1e-9
         staircase_ok = staircase_ok and all(
-            abs(a - b) <= 1e-6 for a, b in zip(profile.corners, numeric_profile.corners)
+            abs(a - b) <= 1e-6 for a, b in zip(profile, numeric_profile)
         )
     bounds_report = {
         "partitions_checked": len(partitions),

@@ -286,15 +286,13 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
 @dataclass(frozen=True)
 class SubdivisionCell:
     rect: Rect
-    error_free: bool
     crossing_segment: Optional[Segment] = None
     neighbor: Optional[tuple[int, int]] = None
 
-    def __post_init__(self) -> None:
-        if self.error_free and self.crossing_segment is not None:
-            raise ValueError("error-free cell cannot carry a crossing segment")
-        if not self.error_free and self.crossing_segment is None:
-            raise ValueError("crossed cell needs its crossing segment")
+    @property
+    def error_free(self) -> bool:
+        """True iff no Voronoi boundary segment crosses the cell."""
+        return self.crossing_segment is None
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     """
     c, h = lat.c, lat.h
     if c <= _GEOM_TOL * lat.rho:
-        return BabaiSubdivision(lat, (SubdivisionCell(babai_cell(lat), True),))
+        return BabaiSubdivision(lat, (SubdivisionCell(babai_cell(lat)),))
     if c >= 1.0 - _GEOM_TOL:
         raise UnsupportedGeometryError(
             f"rho*cos(theta) = {c} >= 1: Babai cell is not refined by corner cuts"
@@ -343,13 +341,13 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     seg_lr = Segment(Point2(0.5, -y_c), Point2((1.0 - c) / 2.0, -top))
 
     cells = (
-        SubdivisionCell(Rect(-m, m, -top, top), True),
-        SubdivisionCell(Rect(-0.5, -m, y_c, top), False, seg_ul, (-1, 1)),
-        SubdivisionCell(Rect(-0.5, -m, -y_c, y_c), True),
-        SubdivisionCell(Rect(-0.5, -m, -top, -y_c), False, seg_ll, (0, -1)),
-        SubdivisionCell(Rect(m, 0.5, y_c, top), False, seg_ur, (0, 1)),
-        SubdivisionCell(Rect(m, 0.5, -y_c, y_c), True),
-        SubdivisionCell(Rect(m, 0.5, -top, -y_c), False, seg_lr, (1, -1)),
+        SubdivisionCell(Rect(-m, m, -top, top)),
+        SubdivisionCell(Rect(-0.5, -m, y_c, top), seg_ul, (-1, 1)),
+        SubdivisionCell(Rect(-0.5, -m, -y_c, y_c)),
+        SubdivisionCell(Rect(-0.5, -m, -top, -y_c), seg_ll, (0, -1)),
+        SubdivisionCell(Rect(m, 0.5, y_c, top), seg_ur, (0, 1)),
+        SubdivisionCell(Rect(m, 0.5, -y_c, y_c)),
+        SubdivisionCell(Rect(m, 0.5, -top, -y_c), seg_lr, (1, -1)),
     )
     return BabaiSubdivision(lat, cells)
 

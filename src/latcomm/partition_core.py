@@ -10,7 +10,10 @@ Besides the bookkeeping types, this module provides zero-error validation
 against the two supported target functions, majorization of probability
 vectors, the grow-the-largest-rectangle readjustment move, and the staircase
 area machinery that bounds sums of cell probabilities in any zero-error
-partition of the below-diagonal triangle.
+partition of the below-diagonal triangle.  A staircase profile is a plain
+tuple of corner abscissae, validated by :func:`staircase_area`; its maximum
+comes both in closed form (:func:`staircase_max`) and from a linear solve of
+the first-order condition (:func:`maximize_staircase_numeric`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "Rect",
     "TargetFunction",
     "LabeledPartition",
-    "StaircaseProfile",
     "entropy_bits",
     "partition_entropy",
     "is_zero_error",
@@ -48,9 +50,6 @@ PROB_TOL = 1e-12
 # Cells may share edges; all containment/overlap tests are on open interiors.
 _EDGE_TOL = 1e-12
 _UNIT_TOL = 1e-9
-# Stopping rule of maximize_staircase_numeric.
-_STAIRCASE_GRAD_TOL = 1e-12
-_STAIRCASE_MAX_STEPS = 200_000
 # Deepest partition built cell by cell.  The self-similar and the bit-exchange
 # partitions of depth d have 3*2^d - 2 cells: 196,606 at depth 16.
 MAX_PARTITION_DEPTH = 16
@@ -321,8 +320,10 @@ def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     Cells swallowed by the grown rectangle are dropped, partially covered
     cells are clipped to their outside parts.  The move preserves zero-error
     labeling, and the output probability vector majorizes the input vector
-    whenever no donor cell is larger than the chosen p-cell (always true for
-    partitions whose residual squares sit on the diagonal).
+    whenever no donor cell is larger than the chosen p-cell and none is cut
+    in two.  Only a residual cell whose interior holds the corner (v, v) is
+    cut in two, so a residual square [lo, hi]^2 with lo < v < hi can break
+    majorization; recursive corner-cut partitions have no such square.
     """
     p_cells = [(r, lbl) for r, lbl in part.cells if lbl == "p"]
     if not p_cells:
@@ -343,30 +344,22 @@ def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     return LabeledPartition(tuple(new_cells), tuple(new_residual))
 
 
-@dataclass(frozen=True)
-class StaircaseProfile:
-    """Nondecreasing corner abscissae (x_1, ..., x_m), each in (0, 1)."""
+def staircase_area(corners: Sequence[float]) -> float:
+    """Area under the staircase with touch points (x_i, x_i) on the diagonal.
 
-    corners: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "corners", tuple(float(v) for v in self.corners))
-        if not self.corners:
-            raise ValueError("profile needs at least one corner")
-        prev = 0.0
-        for v in self.corners:
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"corner {v!r} outside (0, 1)")
-            if v < prev:
-                raise ValueError("corners must be nondecreasing")
-            prev = v
-
-
-def staircase_area(profile: StaircaseProfile | Sequence[float]) -> float:
-    """Area under the staircase with touch points (x_i, x_i) on the diagonal."""
-    if not isinstance(profile, StaircaseProfile):
-        profile = StaircaseProfile(tuple(profile))
-    xs = profile.corners
+    ``corners`` are the abscissae x_1 <= ... <= x_m, each in (0, 1); an empty,
+    out-of-range or decreasing profile raises ValueError.
+    """
+    xs = tuple(float(v) for v in corners)
+    if not xs:
+        raise ValueError("profile needs at least one corner")
+    prev = 0.0
+    for v in xs:
+        if not (0.0 < v < 1.0):
+            raise ValueError(f"corner {v!r} outside (0, 1)")
+        if v < prev:
+            raise ValueError("corners must be nondecreasing")
+        prev = v
     total = xs[0] * (1.0 - xs[0])
     for prev, cur in zip(xs, xs[1:]):
         total += (cur - prev) * (1.0 - cur)
@@ -378,37 +371,30 @@ def _staircase_bound(m: int | np.ndarray) -> float | np.ndarray:
     return m / (2.0 * (m + 1.0))
 
 
-def staircase_max(m: int) -> tuple[StaircaseProfile, float]:
+def staircase_max(m: int) -> tuple[tuple[float, ...], float]:
     """Closed-form maximizer x_i = i/(m+1) with area m / (2(m+1))."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    profile = StaircaseProfile(tuple(i / (m + 1.0) for i in range(1, m + 1)))
-    return profile, _staircase_bound(m)
+    return tuple(i / (m + 1.0) for i in range(1, m + 1)), _staircase_bound(m)
 
 
-def maximize_staircase_numeric(m: int) -> tuple[StaircaseProfile, float]:
-    """Projected-gradient maximization of :func:`staircase_area`.
+def maximize_staircase_numeric(m: int) -> tuple[tuple[float, ...], float]:
+    """Maximize :func:`staircase_area` from its first-order condition.
 
     Independent numerical route: never consults the closed form.  The area is
     a concave quadratic with gradient x_{i-1} + x_{i+1} - 2 x_i (boundary
-    values 0 and 1), so gradient ascent with step 1/4 is a contraction.  The
-    ascent stops once every gradient component is below 1e-12, or after
-    200,000 steps.
+    values x_0 = 0 and x_{m+1} = 1), so its maximizer is the solution of the
+    m x m tridiagonal system setting that gradient to zero.  The corners are
+    returned with their area; :func:`staircase_area` rejects an infeasible
+    solution.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = np.arange(1, m + 1, dtype=float) / (m + 2.0)
-    step = 0.25
-    for _ in range(_STAIRCASE_MAX_STEPS):
-        ext = np.concatenate(([0.0], x, [1.0]))
-        grad = ext[:-2] + ext[2:] - 2.0 * ext[1:-1]
-        x += step * grad
-        np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
-        np.maximum.accumulate(x, out=x)
-        if np.max(np.abs(grad)) < _STAIRCASE_GRAD_TOL:
-            break
-    profile = StaircaseProfile(tuple(float(v) for v in x))
-    return profile, staircase_area(profile)
+    hessian = np.eye(m, k=-1) - 2.0 * np.eye(m) + np.eye(m, k=1)
+    rhs = np.zeros(m)
+    rhs[-1] = -1.0  # the boundary value x_{m+1} = 1, moved to the right-hand side
+    corners = tuple(np.linalg.solve(hessian, rhs).tolist())
+    return corners, staircase_area(corners)
 
 
 def satisfies_staircase_bounds(part: LabeledPartition, tol: float = PROB_TOL) -> bool:

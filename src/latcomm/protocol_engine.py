@@ -34,6 +34,7 @@ __all__ = [
     "ProtocolTree",
     "make_leaf",
     "make_node",
+    "check_max_depth",
     "bit_exchange_protocol",
     "one_round_quadrant_protocol",
     "trivial_protocol",
@@ -68,12 +69,6 @@ class RunStats:
     mean_bits: float
     mean_rounds: float
     seed: int
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.mean_bits < 0.0:
-            raise ValueError("mean_bits must be nonnegative")
 
 
 class _Leaf:
@@ -167,6 +162,12 @@ def _bx_expander(tree: ProtocolTree, node: _Node, i: int):
     )
 
 
+def check_max_depth(max_depth: int) -> None:
+    """Reject a depth outside [1, MAX_TREE_DEPTH], for bit exchange and self-similar partitions."""
+    if not 1 <= max_depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}]")
+
+
 def bit_exchange_protocol(max_depth: int) -> ProtocolTree:
     """Alternating binary-expansion bits until the bits of a round differ.
 
@@ -175,8 +176,7 @@ def bit_exchange_protocol(max_depth: int) -> ProtocolTree:
     after message 2k.  Equal inputs never separate; the tree caps at
     ``max_depth`` rounds, 1 to ``MAX_TREE_DEPTH``, with undecided leaves beyond.
     """
-    if not 1 <= max_depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}]")
+    check_max_depth(max_depth)
     unit = (0.0, 1.0)
     root = _Node(1, unit, unit, _interval_split(*unit), tag=("s1", 1))
     return ProtocolTree(root, max_depth, expander=_bx_expander)
@@ -317,27 +317,17 @@ def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:
 
 def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
     """Total bits and rounds over the pairs; a k-symbol message is log2(k) bits."""
-    root = tree.root
-    expand = tree.child
     messages: dict[int, int] = {}  # alphabet size -> messages sent over it
     total_rounds = 0
-    x1s = pairs[:, 0].tolist()
-    x2s = pairs[:, 1].tolist()
-    for x1, x2 in zip(x1s, x2s):
-        node = root
+    for x1, x2 in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+        node = tree.root
         t = 0
-        while True:
+        while type(node) is not _Leaf:
             x = x1 if node.speaker == 1 else x2
-            i = bisect_right(node.bounds, x) - 1
-            t += 1
             k = len(node.bounds) - 1
             messages[k] = messages.get(k, 0) + 1
-            ch = node.children[i]
-            if ch is None:
-                ch = expand(node, i)
-            if type(ch) is _Leaf:
-                break
-            node = ch
+            t += 1
+            node = tree.child(node, bisect_right(node.bounds, x) - 1)
         total_rounds += (t + 1) // 2
     return math.fsum(n * math.log2(k) for k, n in messages.items()), total_rounds
 
@@ -376,8 +366,6 @@ def monte_carlo(tree: ProtocolTree, samples: int, seed: int) -> RunStats:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if type(tree.root) is _Leaf:
-        return RunStats(samples, 0.0, 0.0, seed)
     total_bits = 0
     total_rounds = 0
     for pairs in sample_inputs(seed, samples):

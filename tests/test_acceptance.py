@@ -86,7 +86,7 @@ def test_criterion_5_staircase_maximum():
         ok = ok and abs(closed_area - numeric_area) <= 1e-9
         ok = ok and all(
             abs(a - b) <= 1e-6
-            for a, b in zip(closed_profile.corners, numeric_profile.corners)
+            for a, b in zip(closed_profile, numeric_profile)
         )
     report(5, ok, "numeric maximizer matches m/(2(m+1)) and i/(m+1) for m=1..10")
 

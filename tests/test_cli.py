@@ -403,3 +403,15 @@ def test_partition_show_depth_limit(capsys, source):
     code, out, err = run_cli(capsys, "partition-show", *source, "--max-depth", "17")
     assert code == 2 and out == ""
     assert err == "error: a depth-17 partition has 393214 cells; the limit is depth 16\n"
+
+
+@pytest.mark.parametrize("depth", ["0", "17", "51"])
+def test_partition_show_depth_messages_agree(capsys, depth):
+    errors = []
+    for source in (("--v", "0.3"), ("--protocol", "bit-exchange")):
+        code, out, err = run_cli(capsys, "partition-show", *source, "--max-depth", depth)
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    if depth != "17":
+        assert errors[0] == "error: max_depth must be in [1, 50]\n"

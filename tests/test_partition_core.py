@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from latcomm import (
     LabeledPartition,
     Rect,
-    StaircaseProfile,
     TargetFunction,
     bit_exchange_protocol,
     entropy_bits,
@@ -171,28 +170,53 @@ def test_readjust_majorizes_and_lowers_entropy():
         assert partition_entropy(out) <= partition_entropy(part) + 1e-12
 
 
+def test_readjust_cuts_a_straddling_residual_square_in_two():
+    # The grown rectangle [0.5, 1] x [0, 0.5] cuts the residual square
+    # [0.4, 0.6]^2 into a left and a top piece: 8 cells become 9, and the
+    # 8-cell prefix sum drops from 1.0 to 0.99, so majorization fails.
+    part = LabeledPartition(
+        (
+            (Rect(0.6, 1.0, 0.0, 0.5), "p"),
+            (Rect(0.4, 0.6, 0.0, 0.4), "p"),
+            (Rect(0.6, 1.0, 0.5, 0.6), "p"),
+            (Rect(0.0, 0.4, 0.4, 1.0), "q"),
+            (Rect(0.4, 0.6, 0.6, 1.0), "q"),
+        ),
+        (Rect(0.0, 0.4, 0.0, 0.4), Rect(0.4, 0.6, 0.4, 0.6), Rect(0.6, 1.0, 0.6, 1.0)),
+    )
+    out = readjust_max_rectangle(part)
+    assert (Rect(0.5, 1.0, 0.0, 0.5), "p") in out.cells
+    assert Rect(0.4, 0.5, 0.4, 0.6) in out.residual
+    assert Rect(0.5, 0.6, 0.5, 0.6) in out.residual
+    assert len(out.all_probs()) == 9
+    assert abs(math.fsum(sorted(out.all_probs(), reverse=True)[:8]) - 0.99) < 1e-12
+    assert not majorizes(out.all_probs(), part.all_probs())
+    assert is_zero_error(out, MIN)
+    assert partition_entropy(out) < partition_entropy(part)
+
+
 def test_staircase_area_examples():
-    assert staircase_area(StaircaseProfile((0.5,))) == 0.25
-    assert abs(staircase_area(StaircaseProfile((1 / 3, 2 / 3))) - 1 / 3) < 1e-15
-    assert abs(staircase_area(StaircaseProfile((0.2, 0.2))) - 0.16) < 1e-15
+    assert staircase_area((0.5,)) == 0.25
+    assert abs(staircase_area((1 / 3, 2 / 3)) - 1 / 3) < 1e-15
+    assert abs(staircase_area((0.2, 0.2)) - 0.16) < 1e-15
 
 
 def test_staircase_profile_validation():
-    with pytest.raises(ValueError):
-        StaircaseProfile(())
-    with pytest.raises(ValueError):
-        StaircaseProfile((0.5, 0.4))
-    with pytest.raises(ValueError):
-        StaircaseProfile((0.0, 0.5))
+    with pytest.raises(ValueError, match="at least one corner"):
+        staircase_area(())
+    with pytest.raises(ValueError, match="nondecreasing"):
+        staircase_area((0.5, 0.4))
+    with pytest.raises(ValueError, match="outside"):
+        staircase_area((0.0, 0.5))
 
 
 def test_staircase_max_examples():
     profile, area = staircase_max(1)
-    assert profile.corners == (0.5,) and area == 0.25
+    assert profile == (0.5,) and area == 0.25
     profile, area = staircase_max(3)
-    assert profile.corners == (0.25, 0.5, 0.75) and area == 0.375
+    assert profile == (0.25, 0.5, 0.75) and area == 0.375
     profile, area = staircase_max(10)
-    assert max(abs(c - i / 11) for i, c in enumerate(profile.corners, 1)) < 1e-15
+    assert max(abs(c - i / 11) for i, c in enumerate(profile, 1)) < 1e-15
     assert abs(area - 5 / 11) < 1e-15
 
 
@@ -201,7 +225,17 @@ def test_staircase_numeric_matches_closed_form(m):
     profile, area = staircase_max(m)
     num_profile, num_area = maximize_staircase_numeric(m)
     assert abs(area - num_area) <= 1e-9
-    assert max(abs(a - b) for a, b in zip(profile.corners, num_profile.corners)) <= 1e-6
+    assert max(abs(a - b) for a, b in zip(profile, num_profile)) <= 1e-6
+
+
+@pytest.mark.parametrize("m", [50, 400, 1000])
+def test_staircase_numeric_exact_at_large_m(m):
+    # Well past the orders verify checks: the maximizer must still reach
+    # x_i = i/(m+1) and the area m/(2(m+1)) to rounding, not stop short.
+    corners, area = maximize_staircase_numeric(m)
+    assert len(corners) == m
+    assert max(abs(c - i / (m + 1)) for i, c in enumerate(corners, 1)) <= 1e-12
+    assert abs(area - m / (2 * (m + 1))) <= 1e-12
 
 
 @settings(max_examples=200)
@@ -234,7 +268,7 @@ def test_staircase_max_is_strict_local_max():
         profile, area = staircase_max(m)
         for i in range(m):
             for delta in (-1e-3, 1e-3):
-                perturbed = list(profile.corners)
+                perturbed = list(profile)
                 perturbed[i] += delta
                 assert staircase_area(sorted(perturbed)) < area - 1e-7
 

@@ -275,6 +275,11 @@ def test_monte_carlo_matches_expectations():
     assert abs(stats.mean_rounds - 2.0) < 0.01
 
 
+def test_monte_carlo_on_a_leaf_root():
+    # A zero-message tree sends nothing: no bits and no rounds per sample.
+    assert monte_carlo(trivial_protocol(), 1000, seed=3) == RunStats(1000, 0.0, 0.0, 3)
+
+
 def test_monte_carlo_validates_samples():
     with pytest.raises(ValueError):
         monte_carlo(bit_exchange_protocol(2), 0, seed=1)
