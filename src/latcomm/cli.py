@@ -1,14 +1,17 @@
 """Command-line entry point: simulation, geometry, optimization, verification.
 
-:func:`build_parser` holds every option with its default and choices.
-:func:`main` parses the command line, rejects ``--format csv`` for a
-subcommand without a table, runs the subcommand on the parsed namespace,
-renders and writes.  Outputs are deterministic for fixed options and seed:
-JSON bodies are the results map with sorted keys, floats serialized by
-shortest round-trip repr; CSV always carries a header row; the human format
-lists the parsed options as ``in`` lines before the results.  Elapsed time
-never reaches stdout, so repeated runs are byte-identical.  Exit codes: 0
-success, 1 verification failure, 2 usage or input error.
+:func:`build_parser` holds every option with its default and choices.  The
+parser is built once per process, on the first call, and every :func:`main`
+call shares it: ``parse_args`` leaves the parser unchanged and returns a
+fresh namespace.  :func:`main` parses the command line, rejects
+``--format csv`` for a subcommand without a table, runs the subcommand on
+the parsed namespace, renders and writes.  Outputs are deterministic for
+fixed options and seed: JSON bodies are the results map with sorted keys,
+floats serialized by shortest round-trip repr; CSV always carries a header
+row; the human format lists the parsed options as ``in`` lines before the
+results.  Elapsed time never reaches stdout, so repeated runs are
+byte-identical.  Exit codes: 0 success, 1 verification failure, 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -87,13 +90,14 @@ def emit_plot_data(
 
 def _run_simulate(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     tree = engine.bit_exchange_protocol(args.max_depth)
+    # Before the transcript file is opened, so a rejected run leaves it as it was.
+    stats = engine.monte_carlo(tree, args.samples, args.seed)
     if args.transcripts:
         with open(args.transcripts, "w", encoding="utf-8") as fh:
             for chunk in engine.sample_inputs(args.seed, args.samples):
                 for x1, x2 in chunk.tolist():
                     run = engine.run_protocol(tree, x1, x2)
                     fh.write(",".join(str(s) for s in run.messages) + "\n")
-    stats = engine.monte_carlo(tree, args.samples, args.seed)
     results = {
         "samples": stats.sample_count,
         "mean_bits": stats.mean_bits,
@@ -202,7 +206,18 @@ def render(args: argparse.Namespace, fmt: str, results: dict, csv_text: Optional
     return "\n".join(lines) + "\n"
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call."""
+    global _parser
+    if _parser is None:
+        _parser = _new_parser()
+    return _parser
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcomm",
         description="Interactive-communication cost calculations at desk scale",

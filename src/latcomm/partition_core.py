@@ -384,16 +384,25 @@ def maximize_staircase_numeric(m: int) -> tuple[tuple[float, ...], float]:
     Independent numerical route: never consults the closed form.  The area is
     a concave quadratic with gradient x_{i-1} + x_{i+1} - 2 x_i (boundary
     values x_0 = 0 and x_{m+1} = 1), so its maximizer is the solution of the
-    m x m tridiagonal system setting that gradient to zero.  The corners are
-    returned with their area; :func:`staircase_area` rejects an infeasible
-    solution.
+    m x m tridiagonal system setting that gradient to zero.  Thomas elimination
+    solves it in O(m) time and memory.  The corners are returned with their
+    area; :func:`staircase_area` rejects an infeasible solution.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    hessian = np.eye(m, k=-1) - 2.0 * np.eye(m) + np.eye(m, k=1)
-    rhs = np.zeros(m)
-    rhs[-1] = -1.0  # the boundary value x_{m+1} = 1, moved to the right-hand side
-    corners = tuple(np.linalg.solve(hessian, rhs).tolist())
+    # Thomas elimination.  The forward sweep turns row i into
+    # x_i = ratio_i x_{i+1}, starting from x_0 = 0; back substitution then
+    # runs down from the boundary value x_{m+1} = 1.
+    ratios = []
+    ratio = 0.0
+    for _ in range(m):
+        ratio = 1.0 / (2.0 - ratio)
+        ratios.append(ratio)
+    xs = [0.0] * m
+    x = 1.0
+    for i in range(m - 1, -1, -1):
+        x = xs[i] = ratios[i] * x
+    corners = tuple(xs)
     return corners, staircase_area(corners)
 
 

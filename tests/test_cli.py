@@ -197,6 +197,50 @@ def test_simulate_transcript_dump(tmp_path, capsys):
         assert len(symbols) >= 2 and all(s in ("0", "1") for s in symbols)
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_rejected_simulate_keeps_the_transcript_file(tmp_path, capsys, samples):
+    path = tmp_path / "runs.txt"
+    path.write_text("keep me\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--samples", samples, "--transcripts", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert path.read_text() == "keep me\n"
+
+
+def test_parser_is_built_once_and_shared():
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
+def test_parser_builder_runs_once_across_main_calls(capsys, monkeypatch):
+    builds = []
+    new_parser = cli_module._new_parser
+
+    def counting_builder():
+        builds.append(None)
+        return new_parser()
+
+    monkeypatch.setattr(cli_module, "_parser", None)
+    monkeypatch.setattr(cli_module, "_new_parser", counting_builder)
+    shape = ("--rho", "1", "--theta", repr(math.pi / 3))
+    assert run_cli(capsys, "lattice-rates", *shape, "--samples", "200", "--json")[0] == 0
+    for k in range(24):
+        query = ("--x", repr(0.1 * k - 1.0), "--y", repr(0.05 * k))
+        assert run_cli(capsys, "lattice-nearest", *shape, *query, "--json")[0] == 0
+    assert len(builds) == 1
+
+
+def test_human_inputs_come_from_this_run_only(capsys):
+    theta = repr(math.pi / 3)
+    assert run_cli(capsys, "lattice-rates", "--rho", "1", "--theta", theta,
+                   "--samples", "100", "--json")[0] == 0
+    code, out, _ = run_cli(capsys, "entropy-ratio", "--v", "0.3")
+    assert code == 0
+    inputs = [line for line in out.splitlines() if line.startswith("  in  ")]
+    assert inputs == [f"  in  seed = {DEFAULT_SEED}", "  in  v = 0.3"]
+
+
 def test_dispatch_reports_inputs_and_elapsed(capsys):
     code, out, err = run_cli(capsys, "entropy-ratio", "--v", "0.5")
     assert code == 0

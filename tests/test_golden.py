@@ -63,3 +63,18 @@ def test_stdout_matches_recording(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_one_process_runs_every_recording_between_errors(capsys):
+    # The parser is shared across main calls: no option value, default or
+    # failed parse may carry over from one run into the next.
+    names = sorted(GOLDEN)
+    for name in names + names[::-1]:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--format", "yaml"])
+        assert exc.value.code == 2
+        assert main(["simulate", "--samples", "0"]) == 2
+        capsys.readouterr()
+        assert main(list(GOLDEN[name])) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8"), name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ def test_staircase_numeric_exact_at_large_m(m):
     corners, area = maximize_staircase_numeric(m)
     assert len(corners) == m
     assert max(abs(c - i / (m + 1)) for i, c in enumerate(corners, 1)) <= 1e-12
+    assert abs(area - m / (2 * (m + 1))) <= 1e-12
+
+
+def test_staircase_numeric_is_linear_in_m():
+    # One dense m x m matrix alone is 800 MB at m = 10^4; elimination needs O(m).
+    m = 10_000
+    tracemalloc.start()
+    try:
+        corners, area = maximize_staircase_numeric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert max(abs(c - i / (m + 1)) for i, c in enumerate(corners, 1)) <= 1e-11
     assert abs(area - m / (2 * (m + 1))) <= 1e-12
 
 
