@@ -65,6 +65,11 @@ def emit_plot_data(
     ignored for the subdivision listing, which needs the lattice parameters
     instead.
     """
+    if which == "subdivision":
+        if rho is None or theta is None:
+            raise ValueError("subdivision plot data needs --rho and --theta")
+        sub = latgeo.babai_subdivision(latgeo.Lattice2D(rho, theta))
+        return _subdivision_csv(latgeo.subdivision_to_json(sub))
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     lines: list[str] = []
@@ -78,11 +83,6 @@ def emit_plot_data(
         for depth in range(1, min(resolution, engine.MAX_TREE_DEPTH) + 1):
             rate = engine.sum_rate(engine.bit_exchange_protocol(depth))
             lines.append(f"{depth},{rate!r}")
-    elif which == "subdivision":
-        if rho is None or theta is None:
-            raise ValueError("subdivision plot data needs --rho and --theta")
-        sub = latgeo.babai_subdivision(latgeo.Lattice2D(rho, theta))
-        return _subdivision_csv(latgeo.subdivision_to_json(sub))
     else:
         raise ValueError(f"unknown plot kind {which!r}")
     return "\n".join(lines) + "\n"
@@ -193,11 +193,11 @@ _RUNNERS = {
 
 def render(args: argparse.Namespace, fmt: str, results: dict, csv_text: Optional[str]) -> str:
     """Output text of a run; the human format lists the parsed options first."""
+    if fmt == "csv":
+        return csv_text
     body = json.dumps(results, sort_keys=True, indent=2)
     if fmt == "json":
         return body + "\n"
-    if fmt == "csv":
-        return csv_text
     lines = [args.subcommand]
     for key, value in sorted(vars(args).items()):
         if key not in _OUTPUT_OPTIONS and value is not None:

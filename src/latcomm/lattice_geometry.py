@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .partition_core import Rect, entropy_bits
-from .protocol_engine import _stopping_rounds
+from .protocol_engine import _stopping_rounds, sample_inputs
 
 __all__ = [
     "Lattice2D",
@@ -413,27 +413,23 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
 
     Round 1 locates the subdivision cell.  A crossed cell triggers bit
     exchange on the cell-normalized coordinates, which runs for a further
-    Geometric(1/2) number of rounds.  Deterministic for a fixed seed.
+    Geometric(1/2) number of rounds.  The points are the seeded chunk stream
+    of :func:`sample_inputs`, which rejects ``samples < 1``, mapped onto the
+    Babai cell and tallied chunk by chunk.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     cell = sub.babai_cell
-    xs = rng.random(samples) * cell.width + cell.x_lo
-    ys = rng.random(samples) * cell.height + cell.y_lo
-    rounds = np.ones(samples, dtype=np.int64)
-    for sc in sub.cells:
-        if sc.error_free:
-            continue
-        r = sc.rect
-        mask = (xs >= r.x_lo) & (xs < r.x_hi) & (ys >= r.y_lo) & (ys < r.y_hi)
-        if not mask.any():
-            continue
-        u1 = (xs[mask] - r.x_lo) / r.width
-        u2 = (ys[mask] - r.y_lo) / r.height
-        # Bit exchange past 60 agreeing bits has probability 2^-60: negligible.
-        rounds[mask] += _stopping_rounds(u1, u2, 60)
-    return float(rounds.sum()) / samples
+    crossed = [sc.rect for sc in sub.cells if not sc.error_free]
+    total = samples  # round 1, for every point
+    for pairs in sample_inputs(seed, samples):
+        xs = pairs[:, 0] * cell.width + cell.x_lo
+        ys = pairs[:, 1] * cell.height + cell.y_lo
+        for r in crossed:
+            inside = (xs >= r.x_lo) & (xs < r.x_hi) & (ys >= r.y_lo) & (ys < r.y_hi)
+            u1 = (xs[inside] - r.x_lo) / r.width
+            u2 = (ys[inside] - r.y_lo) / r.height
+            # Bit exchange past 60 agreeing bits has probability 2^-60: negligible.
+            total += int(_stopping_rounds(u1, u2, 60).sum())
+    return total / samples
 
 
 def subdivision_to_json(sub: BabaiSubdivision) -> dict:

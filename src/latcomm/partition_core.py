@@ -47,9 +47,6 @@ __all__ = [
 
 PROB_TOL = 1e-12
 
-# Cells may share edges; all containment/overlap tests are on open interiors.
-_EDGE_TOL = 1e-12
-_UNIT_TOL = 1e-9
 # Deepest partition built cell by cell.  The self-similar and the bit-exchange
 # partitions of depth d have 3*2^d - 2 cells: 196,606 at depth 16.
 MAX_PARTITION_DEPTH = 16
@@ -111,9 +108,10 @@ class Rect:
         return (self.x_lo, self.y_lo, self.x_hi, self.y_hi)
 
     def interior_overlaps(self, other: "Rect") -> bool:
+        """True when the open interiors meet: cells may share edges."""
         return (
-            min(self.x_hi, other.x_hi) - max(self.x_lo, other.x_lo) > _EDGE_TOL
-            and min(self.y_hi, other.y_hi) - max(self.y_lo, other.y_lo) > _EDGE_TOL
+            min(self.x_hi, other.x_hi) > max(self.x_lo, other.x_lo)
+            and min(self.y_hi, other.y_hi) > max(self.y_lo, other.y_lo)
         )
 
 
@@ -138,7 +136,7 @@ def _check_disjoint_interiors(rects: Sequence[Rect]) -> None:
     active: list[int] = []
     for idx in order:
         r = rects[idx]
-        active = [j for j in active if rects[j].x_hi > r.x_lo + _EDGE_TOL]
+        active = [j for j in active if rects[j].x_hi > r.x_lo]
         for j in active:
             if r.interior_overlaps(rects[j]):
                 raise ValueError(
@@ -147,13 +145,25 @@ def _check_disjoint_interiors(rects: Sequence[Rect]) -> None:
         active.append(idx)
 
 
+def _check_total_area(rects: Sequence[Rect]) -> None:
+    # Over the largest denominator every coordinate is an integer, so this sum
+    # is exact: cells that share their edges come to exactly 1 at any depth,
+    # and a missing cell shows however small, which no tolerance would allow.
+    ratios = {v: v.as_integer_ratio() for v in {v for r in rects for v in r.as_list()}}
+    den = max(d for _, d in ratios.values())
+    s = {v: n * (den // d) for v, (n, d) in ratios.items()}
+    excess = sum((s[r.x_hi] - s[r.x_lo]) * (s[r.y_hi] - s[r.y_lo]) for r in rects) - den * den
+    if excess:
+        raise ValueError(f"partition area differs from 1 by {excess / (den * den)!r}")
+
+
 @dataclass(frozen=True)
 class LabeledPartition:
     """Labeled cells plus optional undecided residual cells.
 
     Invariants enforced at construction: every cell lies in the unit square,
-    interiors are pairwise disjoint, and total area (residual included) is 1
-    within ``PROB_TOL``.
+    interiors are pairwise disjoint, and the total area (residual included),
+    summed exactly, is 1.
     """
 
     cells: tuple[tuple[Rect, str], ...]
@@ -169,16 +179,9 @@ class LabeledPartition:
         if not everything:
             raise ValueError("empty partition")
         for r in everything:
-            if (
-                r.x_lo < -_UNIT_TOL
-                or r.y_lo < -_UNIT_TOL
-                or r.x_hi > 1.0 + _UNIT_TOL
-                or r.y_hi > 1.0 + _UNIT_TOL
-            ):
+            if r.x_lo < 0.0 or r.y_lo < 0.0 or r.x_hi > 1.0 or r.y_hi > 1.0:
                 raise ValueError(f"cell {r.as_list()} leaves the unit square")
-        total = math.fsum(r.area for r in everything)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"partition area {total!r} != 1")
+        _check_total_area(everything)
         _check_disjoint_interiors(everything)
 
     def p_probs(self) -> list[float]:

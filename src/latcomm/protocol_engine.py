@@ -303,16 +303,17 @@ def rate_matches_partition_entropy(tree: ProtocolTree) -> bool:
 
 
 def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:
-    """Deterministic chunked stream of i.i.d. uniform input pairs.
+    """The seeded stream of i.i.d. uniform input pairs, in chunks of 2^16 pairs.
 
-    Chunks of 2^16 pairs are each seeded by (seed, chunk index) through a
-    splittable generator, so every chunk can be drawn on its own.
+    Chunk j, the last one partial, is drawn from the j-th child seed that
+    ``SeedSequence(seed).spawn`` gives, built only when the chunk is drawn.
+    The first ``next`` raises ``samples must be >= 1``.
     """
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for j, child in enumerate(children):
-        n = min(_CHUNK, samples - j * _CHUNK)
-        yield np.random.default_rng(child).random((n, 2))
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    for j, start in enumerate(range(0, samples, _CHUNK)):
+        child = np.random.SeedSequence(seed, spawn_key=(j,))
+        yield np.random.default_rng(child).random((min(_CHUNK, samples - start), 2))
 
 
 def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
@@ -364,8 +365,6 @@ def monte_carlo(tree: ProtocolTree, samples: int, seed: int) -> RunStats:
     two one-bit messages; other trees are walked pair by pair, a message
     over k symbols adding log2(k) bits.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     total_bits = 0
     total_rounds = 0
     for pairs in sample_inputs(seed, samples):

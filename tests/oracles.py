@@ -112,14 +112,19 @@ def doubling_stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int = 60) -> n
 def round_count_by_doubling(sub, samples: int, seed: int) -> float:
     """Mean round count of the two-round lattice refinement, by the doubling oracle.
 
-    Draws the documented stream (one generator seeded by ``seed``: all x, then
-    all y over the Babai cell) and adds bit-exchange rounds on the
-    cell-normalized coordinates of every point in a crossed cell.
+    Draws the documented stream: chunks of 2^16 uniform pairs (u1, u2), chunk
+    j from the j-th child that ``SeedSequence(seed).spawn`` gives, mapped onto
+    the Babai cell.  Every point in a crossed cell adds the bit-exchange rounds
+    of its cell-normalized coordinates to the first round.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_chunks = -(-samples // 2**16)
+    pairs = np.concatenate([
+        np.random.default_rng(child).random((min(2**16, samples - j * 2**16), 2))
+        for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks))
+    ])
     cell = sub.babai_cell
-    xs = rng.random(samples) * cell.width + cell.x_lo
-    ys = rng.random(samples) * cell.height + cell.y_lo
+    xs = pairs[:, 0] * cell.width + cell.x_lo
+    ys = pairs[:, 1] * cell.height + cell.y_lo
     rounds = np.ones(samples, dtype=np.int64)
     for sc in sub.cells:
         if sc.error_free:

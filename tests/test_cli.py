@@ -1,24 +1,43 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import re
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latcomm import LabeledPartition, Lattice2D
+from latcomm import LabeledPartition, Lattice2D, self_similar_partition
 import latcomm.cli as cli_module
 from latcomm.cli import DEFAULT_SEED, emit_plot_data, main
 
-from oracles import closed_form_truncated_bits
+from oracles import closed_form_truncated_bits, random_zero_error_partition
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_quietly(*argv):
+    """``run_cli`` for hypothesis tests, which cannot take a per-test fixture.
+
+    An argparse usage error returns its exit code instead of raising.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_default_seed_documented_constant():
@@ -169,10 +188,41 @@ def test_plot_data_convergence(capsys):
 
 
 def test_plot_data_resolution_floor():
-    with pytest.raises(ValueError):
-        emit_plot_data("ratio-curve", 8)
+    for which in ("ratio-curve", "convergence"):
+        with pytest.raises(ValueError, match="resolution must be >= 16"):
+            emit_plot_data(which, 8)
     with pytest.raises(ValueError):
         emit_plot_data("subdivision", 16)  # lattice parameters missing
+
+
+def test_plot_data_subdivision_ignores_the_resolution(capsys):
+    code, out, _ = run_cli(capsys, "plot-data", "--which", "subdivision", "--rho", "1",
+                           "--theta", "1.0", "--resolution", "8")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "plot_subdivision.out").read_text(encoding="utf-8")
+
+
+def test_csv_output_serializes_no_json(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called for CSV output")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, _ = run_cli(capsys, "plot-data", "--which", "ratio-curve", "--resolution", "16")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "ratio_curve_16.out").read_text(encoding="utf-8")
+
+
+def test_lattice_rates_rejects_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "lattice-rates", "--rho", "1", "--theta", "1.0",
+                             "--samples", "-5")
+    assert (code, out, err) == (2, "", "error: samples must be >= 1\n")
+
+
+def test_lattice_rates_without_samples_has_no_monte_carlo(capsys):
+    code, out, _ = run_cli(capsys, "lattice-rates", "--rho", "1", "--theta", "1.0",
+                           "--samples", "0", "--json")
+    assert code == 0
+    assert "mc_mean_rounds" not in json.loads(out)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -342,13 +392,7 @@ _FUZZ_COMMANDS = {
 def test_cli_survives_any_float(command, values):
     names = _FUZZ_COMMANDS[command]
     argv = [command, "--json"] + [f"--{n}={v!r}" for n, v in zip(names, values)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 1, 2)
+    assert run_cli_quietly(*argv)[0] in (0, 1, 2)
 
 
 def test_elapsed_includes_rendering(capsys, monkeypatch):
@@ -401,6 +445,62 @@ def test_partition_show_rejects_malformed_json(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "partition-show", "--in", str(path), "--json")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+_PARTITIONS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda s: random_zero_error_partition(np.random.default_rng(s))),
+    st.builds(self_similar_partition, st.floats(0.05, 0.95), st.integers(1, 5)),
+)
+_MUTATIONS = ("drop", "duplicate", "swap-x", "shift", "string", "bool", "null", "1e400",
+              "label", "prob")
+
+
+def _mutated(doc: dict, mutation: str, index: int, coord: int) -> str:
+    """JSON text of ``doc`` with one cell damaged as ``mutation`` names."""
+    doc = copy.deepcopy(doc)
+    cells = doc["cells"]
+    cell = cells[index % len(cells)]
+    rect = cell["rect"]
+    if mutation == "drop":
+        cells.remove(cell)
+    elif mutation == "duplicate":
+        cells.append(copy.deepcopy(cell))
+    elif mutation == "swap-x":
+        rect[0], rect[1] = rect[1], rect[0]
+    elif mutation == "shift":
+        width = rect[1] - rect[0]
+        rect[0] += width
+        rect[1] += width
+    elif mutation == "label":
+        cell["label"] = "x"
+    elif mutation == "prob":
+        cell["prob"] += 1e-6
+    else:
+        rect[coord] = {"string": str(rect[coord]), "bool": True, "null": None,
+                       "1e400": "1e400"}[mutation]
+    # json.dumps writes an infinite float as Infinity; the literal stays a literal.
+    return json.dumps(doc).replace('"1e400"', "1e400")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARTITIONS, st.sampled_from(_MUTATIONS), st.integers(0, 10**6), st.integers(0, 3))
+# Drops the ~1e-13 cell at the origin: a hole however small is still a hole.
+@example(self_similar_partition(0.05, 5), "drop", 62, 0)
+# Shifts a cell ~1e-13 wide onto its neighbour: an overlap however thin.
+@example(self_similar_partition(0.05, 10), "shift", 19, 0)
+def test_partition_show_round_trips_and_rejects_damage(
+    tmp_path_factory, part, mutation, index, coord
+):
+    path = tmp_path_factory.mktemp("partition") / "part.json"
+    path.write_text(part.to_json(), encoding="utf-8")
+    code, out, _ = run_cli_quietly("partition-show", "--in", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == part.to_json_dict()
+    path.write_text(out, encoding="utf-8")
+    assert run_cli_quietly("partition-show", "--in", str(path), "--json")[:2] == (0, out)
+    path.write_text(_mutated(json.loads(out), mutation, index, coord), encoding="utf-8")
+    code, out, err = run_cli_quietly("partition-show", "--in", str(path), "--json")
+    assert code == 2 and out == "" and err.startswith("error: "), (mutation, err)
 
 
 def test_plot_data_convergence_default_resolution(capsys):

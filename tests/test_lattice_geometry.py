@@ -339,13 +339,22 @@ def test_simulate_round_count_matches_n_bar():
     assert simulate_round_count(sub, 1000, seed=1) == simulate_round_count(sub, 1000, seed=1)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_simulate_round_count_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        simulate_round_count(babai_subdivision(HEX), samples, seed=1)
+
+
 def test_simulate_round_count_matches_doubling_oracle():
     rng = np.random.default_rng(0x1A7)
     lattices = [HEX, Z2] + [random_corner_cut_lattice(rng) for _ in range(6)]
     for lat in lattices:
         sub = babai_subdivision(lat)
         for seed in (1, 0x5EED, int(rng.integers(1, 2**31))):
-            assert simulate_round_count(sub, 30_000, seed) == round_count_by_doubling(sub, 30_000, seed)
+            # 70,000 samples span two chunks of the stream, the second one partial.
+            for samples in (30_000, 70_000):
+                expected = round_count_by_doubling(sub, samples, seed)
+                assert simulate_round_count(sub, samples, seed) == expected
 
 
 def test_subdivision_json_schema():

@@ -20,6 +20,7 @@ from latcomm import (
     staircase_area,
     staircase_max,
     satisfies_staircase_bounds,
+    self_similar_partition,
 )
 
 from oracles import (
@@ -79,6 +80,13 @@ def test_partition_validation_rejects_overlap_and_bad_area():
         )
     with pytest.raises(ValueError, match="area"):
         LabeledPartition(((Rect(0.0, 0.5, 0.0, 1.0), "q"),))
+    # A missing cell leaves a hole however small it is: here the ~1e-13 cell
+    # at the origin of the depth-5 partition at v = 0.05.
+    part = self_similar_partition(0.05, 5)
+    tiny = min(part.residual, key=lambda r: r.area)
+    assert tiny.area < 1e-12
+    with pytest.raises(ValueError, match="area"):
+        LabeledPartition(part.cells, tuple(r for r in part.residual if r is not tiny))
     with pytest.raises(ValueError, match="unit square"):
         LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0001), "q"),))
     with pytest.raises(ValueError, match="label"):

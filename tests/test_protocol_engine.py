@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,33 @@ def test_stopping_rounds_reads_one_as_all_one_bits():
     got = _stopping_rounds(np.array([1.0, 1.0, 1.0]), np.array([1.0 - 2.0**-53, 0.75, 0.5]), 60)
     assert got.tolist() == [54, 3, 2]
     assert _stopping_rounds(np.array([1.0]), np.array([1.0]), 60).tolist() == [60]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_inputs_rejects_fewer_than_one_sample_at_the_first_draw(samples):
+    stream = sample_inputs(7, samples)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        next(stream)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**100 + 3])
+def test_sample_inputs_chunks_are_the_spawned_children(seed):
+    chunks = list(sample_inputs(seed, 3 * 2**16 - 5))
+    assert [len(chunk) for chunk in chunks] == [2**16, 2**16, 2**16 - 5]
+    for chunk, child in zip(chunks, np.random.SeedSequence(seed).spawn(3)):
+        assert np.array_equal(chunk, np.random.default_rng(child).random((len(chunk), 2)))
+
+
+def test_sample_inputs_builds_no_seed_list_up_front():
+    # 10^5 chunks: spawning every child seed before the first draw takes ~36 MiB.
+    tracemalloc.start()
+    try:
+        first = next(sample_inputs(7, 2**16 * 10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (2**16, 2)
+    assert peak < 4 * 2**20
 
 
 def test_monte_carlo_single_sample_reproducible():
