@@ -186,6 +186,11 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
 
     def build(lo: float, hi: float, level: int) -> None:
         cut = lo + v * (hi - lo)
+        if not lo < cut < hi:
+            raise ValueError(
+                f"v = {v!r} at depth {depth} is too fine for double precision: "
+                f"the level-{level} cut of the square [{lo!r}, {hi!r}]^2 rounds onto its edge"
+            )
         cells.append((Rect(cut, hi, lo, cut), "p"))
         cells.append((Rect(lo, cut, cut, hi), "q"))
         if level == depth:

@@ -6,6 +6,14 @@ label ``"p"`` (target function equals 1) or ``"q"`` (equals 0); finite-depth
 constructions keep their undecided leftovers as *residual* cells.  Cell
 probability is plain area.
 
+Every partition is validated when it is built, by one exact test: a
+half-open cell [a, b) x [c, d) is the signed sum of the quadrant indicators
+at its corners, +1 at (a, c) and (b, d) and -1 at (b, c) and (a, d).  The
+indicators of distinct points are linearly independent, so the cells tile
+[0, 1)^2 if and only if all their corner weights, minus the unit square's,
+cancel at every point.  That holds exactly when every cell lies in the
+square, no two interiors meet and the areas sum to 1, with no tolerance.
+
 Besides the bookkeeping types, this module provides zero-error validation
 against the two supported target functions, majorization of probability
 vectors, the grow-the-largest-rectangle readjustment move, and the staircase
@@ -129,32 +137,74 @@ class TargetFunction(Enum):
     QUADRANT = "quadrant"
 
 
-def _check_disjoint_interiors(rects: Sequence[Rect]) -> None:
-    # Sweep by x_lo: the active set holds rectangles whose x-range contains
-    # the current x_lo, so its size is bounded by the partition's column depth.
-    order = sorted(range(len(rects)), key=lambda i: rects[i].x_lo)
-    active: list[int] = []
-    for idx in order:
-        r = rects[idx]
-        active = [j for j in active if rects[j].x_hi > r.x_lo]
-        for j in active:
-            if r.interior_overlaps(rects[j]):
-                raise ValueError(
-                    f"cell interiors overlap: {r.as_list()} and {rects[j].as_list()}"
-                )
-        active.append(idx)
+# Corner weights of a half-open cell [a, b) x [c, d), in the column order of
+# the coordinate array (x_lo, x_hi, y_lo, y_hi): the cell's indicator is
+# H(a, c) - H(b, c) - H(a, d) + H(b, d), where H(u, v) is the indicator of the
+# quadrant [u, inf) x [v, inf).
+_CORNER_X = (0, 1, 1, 0)
+_CORNER_Y = (2, 3, 2, 3)
+_CORNER_W = (1, 1, -1, -1)
+_UNIT_SQUARE = np.array([[0.0, 1.0, 0.0, 1.0]])
 
 
-def _check_total_area(rects: Sequence[Rect]) -> None:
-    # Over the largest denominator every coordinate is an integer, so this sum
-    # is exact: cells that share their edges come to exactly 1 at any depth,
-    # and a missing cell shows however small, which no tolerance would allow.
-    ratios = {v: v.as_integer_ratio() for v in {v for r in rects for v in r.as_list()}}
+def _exact_area_excess(coords: np.ndarray) -> tuple[int, int]:
+    """Total cell area minus 1, exactly, as an integer over ``den**2``.
+
+    Over the largest denominator every coordinate is an integer, so the sum is
+    exact: a missing or doubled cell shows however small it is.
+    """
+    ratios = {v: v.as_integer_ratio() for v in set(coords.ravel().tolist())}
     den = max(d for _, d in ratios.values())
     s = {v: n * (den // d) for v, (n, d) in ratios.items()}
-    excess = sum((s[r.x_hi] - s[r.x_lo]) * (s[r.y_hi] - s[r.y_lo]) for r in rects) - den * den
+    excess = sum(
+        (s[x_hi] - s[x_lo]) * (s[y_hi] - s[y_lo]) for x_lo, x_hi, y_lo, y_hi in coords.tolist()
+    ) - den * den
+    return excess, den
+
+
+def _check_tiles_unit_square(coords: np.ndarray) -> None:
+    """Reject cells, rows of ``coords``, that do not tile [0, 1)^2 exactly.
+
+    The test is the corner cancellation of the module docstring: group the
+    signed corners by point and sum their weights.
+    """
+    outside = np.flatnonzero(
+        (coords[:, 0] < 0.0) | (coords[:, 2] < 0.0) | (coords[:, 1] > 1.0) | (coords[:, 3] > 1.0)
+    )
+    if outside.size:
+        raise ValueError(f"cell {coords[outside[0]].tolist()} leaves the unit square")
+    signed = np.concatenate((coords, _UNIT_SQUARE))
+    n = len(coords)
+    xs = signed[:, _CORNER_X].T.ravel()
+    ys = signed[:, _CORNER_Y].T.ravel()
+    weights = np.repeat(_CORNER_W, n + 1)
+    weights[n :: n + 1] *= -1  # the square's own corners, last in each block
+    order = np.lexsort((ys, xs))
+    xs, ys, weights = xs[order], ys[order], weights[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])))
+    )
+    uncancelled = np.flatnonzero(np.add.reduceat(weights, starts))
+    if not uncancelled.size:
+        return
+    # Only a rejected partition pays for the exact area sum, which picks the
+    # message: the cells lie in the square, so at area exactly 1 a corner
+    # that fails to cancel means two interiors overlap.
+    excess, den = _exact_area_excess(coords)
     if excess:
-        raise ValueError(f"partition area differs from 1 by {excess / (den * den)!r}")
+        amount = excess / (den * den)
+        if amount == 0.0:
+            # Below the smallest double: give the exact dyadic amount (den
+            # is a power of two).
+            shift = (excess & -excess).bit_length() - 1
+            amount = f"{excess >> shift}*2**{shift - 2 * (den.bit_length() - 1)}"
+        else:
+            amount = repr(amount)
+        raise ValueError(f"partition area differs from 1 by {amount}")
+    i = starts[uncancelled[0]]
+    raise ValueError(
+        f"cell interiors overlap: corner weights do not cancel at {(float(xs[i]), float(ys[i]))}"
+    )
 
 
 @dataclass(frozen=True)
@@ -163,7 +213,11 @@ class LabeledPartition:
 
     Invariants enforced at construction: every cell lies in the unit square,
     interiors are pairwise disjoint, and the total area (residual included),
-    summed exactly, is 1.
+    summed exactly, is 1.  One exact vectorized test decides all three: the
+    corner weights of the cells, minus those of the square, must cancel at
+    every point (see the module docstring).  A rejected partition's exact
+    area sum picks the message: a total other than 1 is reported as such,
+    and a total of exactly 1 means two interiors overlap.
     """
 
     cells: tuple[tuple[Rect, str], ...]
@@ -178,11 +232,9 @@ class LabeledPartition:
         everything = [r for r, _ in self.cells] + list(self.residual)
         if not everything:
             raise ValueError("empty partition")
-        for r in everything:
-            if r.x_lo < 0.0 or r.y_lo < 0.0 or r.x_hi > 1.0 or r.y_hi > 1.0:
-                raise ValueError(f"cell {r.as_list()} leaves the unit square")
-        _check_total_area(everything)
-        _check_disjoint_interiors(everything)
+        columns = [[r.x_lo for r in everything], [r.x_hi for r in everything],
+                   [r.y_lo for r in everything], [r.y_hi for r in everything]]
+        _check_tiles_unit_square(np.array(columns, dtype=float).T)
 
     def p_probs(self) -> list[float]:
         return [r.area for r, lbl in self.cells if lbl == "p"]

@@ -161,6 +161,33 @@ def staircase_bounds_by_subsets(part: LabeledPartition) -> bool:
     return sp == sq == Fraction(1, 2)
 
 
+def tiling_error_by_sweep(rects) -> str | None:
+    """Why the cells fail to partition the unit square, or None if they do.
+
+    Returns "unit square" for a cell outside [0, 1]^2, "area" when the areas,
+    summed exactly over the largest denominator, differ from 1, and "overlap"
+    when an x-sorted sweep finds two cells whose open interiors meet.  The
+    three tests run in that order, pairwise and cell by cell.
+    """
+    for r in rects:
+        if r.x_lo < 0.0 or r.y_lo < 0.0 or r.x_hi > 1.0 or r.y_hi > 1.0:
+            return "unit square"
+    ratios = {v: v.as_integer_ratio() for v in {v for r in rects for v in r.as_list()}}
+    den = max(d for _, d in ratios.values())
+    s = {v: n * (den // d) for v, (n, d) in ratios.items()}
+    if sum((s[r.x_hi] - s[r.x_lo]) * (s[r.y_hi] - s[r.y_lo]) for r in rects) != den * den:
+        return "area"
+    # The active set holds the cells whose x-range contains the current x_lo.
+    active: list[Rect] = []
+    for r in sorted(rects, key=lambda r: r.x_lo):
+        active = [a for a in active if a.x_hi > r.x_lo]
+        for a in active:
+            if min(r.x_hi, a.x_hi) > max(r.x_lo, a.x_lo) and min(r.y_hi, a.y_hi) > max(r.y_lo, a.y_lo):
+                return "overlap"
+        active.append(r)
+    return None
+
+
 def random_superbase_lattice(rng: np.random.Generator) -> Lattice2D:
     """Random lattice in the obtuse-superbase regime.
 

@@ -559,3 +559,22 @@ def test_partition_show_depth_messages_agree(capsys, depth):
     assert errors[0] == errors[1]
     if depth != "17":
         assert errors[0] == "error: max_depth must be in [1, 50]\n"
+
+
+@pytest.mark.parametrize("v, depth", [("0.05", "15"), ("1e-300", "2")])
+def test_partition_show_names_a_v_too_fine_for_doubles(capsys, v, depth):
+    # A cut that rounds onto its square's edge is reported as the user's v
+    # and depth, not as an internal rectangle.
+    code, out, err = run_cli(capsys, "partition-show", "--v", v, "--max-depth", depth)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: v = {float(v)!r} at depth {depth} is too fine for double precision")
+    assert "degenerate" not in err
+
+
+def test_partition_show_deepest_fine_v_still_succeeds(tmp_path, capsys):
+    path = tmp_path / "part.json"
+    code, out, _ = run_cli(
+        capsys, "partition-show", "--v", "0.05", "--max-depth", "14", "--json", "--out", str(path)
+    )
+    assert code == 0 and out == ""
+    assert len(json.loads(path.read_text(encoding="utf-8"))["cells"]) == 3 * 2**14 - 2

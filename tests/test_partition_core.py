@@ -1,9 +1,11 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from latcomm import (
     LabeledPartition,
@@ -27,6 +29,7 @@ from oracles import (
     random_majorizing_pair,
     random_zero_error_partition,
     staircase_bounds_by_subsets,
+    tiling_error_by_sweep,
 )
 
 MIN = TargetFunction.MIN_INDICATOR
@@ -91,6 +94,139 @@ def test_partition_validation_rejects_overlap_and_bad_area():
         LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0001), "q"),))
     with pytest.raises(ValueError, match="label"):
         LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0), "x"),))
+
+
+def test_area_message_gives_an_amount_below_the_smallest_double():
+    # The missing sliver has area (1 - a) * 5e-324, which rounds to 0.0 as a
+    # float; the message must still give its exact, negative amount.
+    a = 0.978271166992193
+    with pytest.raises(ValueError, match="area differs from 1 by") as info:
+        LabeledPartition(((Rect(0.0, a, 0.0, 1.0), "q"), (Rect(a, 1.0, 5e-324, 1.0), "q")))
+    amount = re.search(r"by (-?\d+)\*2\*\*(-?\d+)$", str(info.value))
+    assert amount is not None, str(info.value)
+    exact = Fraction(a) + (1 - Fraction(a)) * (1 - Fraction(5e-324)) - 1
+    assert Fraction(int(amount[1])) * Fraction(2) ** int(amount[2]) == exact < 0
+    with pytest.raises(ValueError, match=r"area differs from 1 by -0\.5$"):
+        LabeledPartition(((Rect(0.0, 0.5, 0.0, 1.0), "q"),))
+
+
+def test_overlap_message_names_an_uncancelled_corner():
+    with pytest.raises(ValueError, match=r"overlap: .* at \(0\.5, 0\.0\)$"):
+        LabeledPartition(((Rect(0.0, 0.6, 0.0, 1.0), "q"), (Rect(0.5, 0.9, 0.0, 1.0), "q")))
+
+
+def _error_class(cells, residual):
+    try:
+        LabeledPartition(cells, residual)
+    except ValueError as exc:
+        msg = str(exc)
+        return next(c for c in ("unit square", "area", "overlap") if c in msg)
+    return None
+
+
+@st.composite
+def guillotine_partitions(draw, max_cuts=20):
+    """Coordinate rows of a random guillotine partition of the unit square.
+
+    Each cut splits a cell at a fraction k/2^16, where cell arithmetic is
+    exact, or k/65537, where it rounds.
+    """
+    rows = [[0.0, 1.0, 0.0, 1.0]]
+    cuts = draw(st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 2**16)), max_size=max_cuts))
+    for pick, k in cuts:
+        i = (pick >> 1) % len(rows)
+        axis = 2 * (pick & 1)
+        t = k / 2**16 if k % 4 == 0 else k / 65537
+        lo, hi = rows[i][axis], rows[i][axis + 1]
+        cut = lo + t * (hi - lo)
+        if lo < cut < hi:
+            first, second = list(rows[i]), list(rows[i])
+            first[axis + 1] = second[axis] = cut
+            rows[i:i + 1] = [first, second]
+    return rows
+
+
+_TILING_MUTATIONS = ("none", "drop", "duplicate", "shift", "ulp", "tiny edge", "grow")
+
+
+def _mutate(rows, mutation, draw):
+    """Damage one cell as ``mutation`` says; exact "grow" keeps the area, so it overlaps."""
+    rows = [list(r) for r in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    if mutation == "drop" and len(rows) > 1:
+        del rows[i]
+    elif mutation == "duplicate":
+        rows.append(list(rows[i]))
+    elif mutation == "shift":
+        dx, dy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        rows[i] = [rows[i][0] + dx, rows[i][1] + dx, rows[i][2] + dy, rows[i][3] + dy]
+    elif mutation == "ulp":
+        k = draw(st.integers(0, 3))
+        rows[i][k] = float(np.nextafter(rows[i][k], draw(st.sampled_from([-math.inf, math.inf]))))
+    elif mutation == "tiny edge":
+        # A cell on the left or bottom edge of the square moves that edge to 5e-324.
+        edge = [(j, k) for j, r in enumerate(rows) for k in (0, 2) if r[k] == 0.0]
+        j, k = draw(st.sampled_from(edge))
+        rows[j][k] = 5e-324
+    elif mutation == "grow":
+        # Grow the cell by a part of its width into its neighbour and give up
+        # as much on the other side: the same area, overlapping.
+        axis = draw(st.sampled_from([0, 2]))
+        delta = (rows[i][axis + 1] - rows[i][axis]) * 2.0 ** -draw(st.integers(1, 3))
+        if rows[i][axis + 1] + delta <= 1.0:
+            rows[i][axis] += delta
+            rows[i][axis + 1] += delta
+        elif rows[i][axis] - delta >= 0.0:
+            rows[i][axis] -= delta
+            rows[i][axis + 1] -= delta
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(guillotine_partitions(), st.sampled_from(_TILING_MUTATIONS), st.data())
+def test_tiling_check_agrees_with_sweep_oracle(rows, mutation, data):
+    rows = _mutate(rows, mutation, data.draw)
+    try:
+        rects = [Rect(*r) for r in rows]
+    except ValueError:
+        assume(False)
+    split = data.draw(st.integers(0, len(rects)))
+    cells = tuple((r, "pq"[j % 2]) for j, r in enumerate(rects[:split]))
+    expected = tiling_error_by_sweep(rects)
+    event(f"{mutation}: {expected}")
+    assert _error_class(cells, tuple(rects[split:])) == expected
+    if mutation == "none":
+        assert expected is None
+
+
+@pytest.mark.parametrize(
+    "mutation, expected",
+    [("none", None), ("drop", "area"), ("duplicate", "area"), ("tiny edge", "area"),
+     ("shift", "unit square"), ("grow", "overlap")],
+)
+def test_each_tiling_mutation_gives_its_error_class(mutation, expected):
+    # On the dyadic depth-3 bit-exchange cells every mutation is exact, so each
+    # kind lands on one error class, for the library and the oracle alike.
+    # The draws pick the cell [0, 1/2] x [1/2, 1], then the mutation's details:
+    # shift it up by 1/2, move its left edge to 5e-324, or move it down by 1/4.
+    part = induced_partition(bit_exchange_protocol(3))
+    rows = [r.as_list() for r in [r for r, _ in part.cells] + list(part.residual)]
+    i = rows.index([0.0, 0.5, 0.5, 1.0])
+    details = {"shift": [0.0, 0.5], "tiny edge": [(i, 0)], "grow": [2, 1]}
+    draws = iter([i] + details.get(mutation, []))
+    rows = _mutate(rows, mutation, lambda strategy: next(draws))
+    rects = [Rect(*r) for r in rows]
+    assert tiling_error_by_sweep(rects) == expected
+    assert _error_class(tuple((r, "q") for r in rects), ()) == expected
+
+
+def test_constructed_partitions_pass_the_sweep_oracle():
+    parts = [induced_partition(bit_exchange_protocol(12))]
+    for d in range(1, 11):
+        parts.append(induced_partition(bit_exchange_protocol(d)))
+        parts += [self_similar_partition(v, d) for v in (0.3, 0.5, 0.7)]
+    for part in parts:
+        assert tiling_error_by_sweep([r for r, _ in part.cells] + list(part.residual)) is None
 
 
 def test_partition_json_round_trip():

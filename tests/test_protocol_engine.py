@@ -138,6 +138,13 @@ def test_sum_rate_values_and_convergence():
     assert abs(sum_rate(bit_exchange_protocol(30)) - 4.0) < 1e-7
 
 
+def test_sum_rate_bit_exchange_exact_identity():
+    # Leaf probabilities are powers of two, so each term -count*p*log2(p) is
+    # exact, and fsum rounds their exact total, itself a double, to itself.
+    for d in range(1, 51):
+        assert sum_rate(bit_exchange_protocol(d)) == 4 - 2 ** (2 - d), d
+
+
 @pytest.mark.parametrize("d", range(1, 13))
 def test_rate_identity_bit_exchange(d):
     assert rate_matches_partition_entropy(bit_exchange_protocol(d))
