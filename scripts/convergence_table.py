@@ -22,9 +22,9 @@ def main() -> None:
         print(f"{depth:>5} {rate:>20.15f} {closed_form(depth):>20.15f} {4.0 - rate:>12.3e}")
     print()
     print(f"closed-form assembly: {assemble_four_bits()} bits")
-    stats = monte_carlo(bit_exchange_protocol(30), 200_000, seed=DEFAULT_SEED)
-    print(f"monte carlo ({stats.sample_count} samples): "
-          f"{stats.mean_bits:.4f} bits, {stats.mean_rounds:.4f} rounds")
+    samples = 200_000
+    mean_bits, mean_rounds = monte_carlo(30, samples, seed=DEFAULT_SEED)
+    print(f"monte carlo ({samples} samples): {mean_bits:.4f} bits, {mean_rounds:.4f} rounds")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .lattice_geometry import (
     babai_cell,
     babai_subdivision,
     crossed_cell_mass,
-    generator_matrix,
     nearest_lattice_point,
     nearest_plane_point,
     round_rates,
@@ -43,7 +42,6 @@ from .lattice_geometry import (
 )
 from .protocol_engine import (
     ProtocolTree,
-    RunStats,
     Transcript,
     bit_exchange_protocol,
     induced_partition,

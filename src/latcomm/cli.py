@@ -89,24 +89,24 @@ def emit_plot_data(
 
 
 def _run_simulate(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    tree = engine.bit_exchange_protocol(args.max_depth)
     # Before the transcript file is opened, so a rejected run leaves it as it was.
-    stats = engine.monte_carlo(tree, args.samples, args.seed)
+    mean_bits, mean_rounds = engine.monte_carlo(args.max_depth, args.samples, args.seed)
     if args.transcripts:
+        tree = engine.bit_exchange_protocol(args.max_depth)
         with open(args.transcripts, "w", encoding="utf-8") as fh:
             for chunk in engine.sample_inputs(args.seed, args.samples):
                 for x1, x2 in chunk.tolist():
                     run = engine.run_protocol(tree, x1, x2)
                     fh.write(",".join(str(s) for s in run.messages) + "\n")
     results = {
-        "samples": stats.sample_count,
-        "mean_bits": stats.mean_bits,
-        "mean_rounds": stats.mean_rounds,
-        "seed": stats.seed,
+        "samples": args.samples,
+        "mean_bits": mean_bits,
+        "mean_rounds": mean_rounds,
+        "seed": args.seed,
     }
     csv_text = (
         "samples,mean_bits,mean_rounds,seed\n"
-        f"{stats.sample_count},{stats.mean_bits!r},{stats.mean_rounds!r},{stats.seed}\n"
+        f"{args.samples},{mean_bits!r},{mean_rounds!r},{args.seed}\n"
     )
     return results, csv_text
 

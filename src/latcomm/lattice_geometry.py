@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .partition_core import Rect, entropy_bits
 from .protocol_engine import _stopping_rounds, sample_inputs
 
@@ -38,7 +36,6 @@ __all__ = [
     "BabaiSubdivision",
     "RoundRates",
     "UnsupportedGeometryError",
-    "generator_matrix",
     "babai_cell",
     "nearest_plane_point",
     "voronoi_cell",
@@ -99,11 +96,6 @@ class Lattice2D:
         return Point2(n1 + n2 * self.c, n2 * self.h)
 
 
-def generator_matrix(lat: Lattice2D) -> np.ndarray:
-    """Upper-triangular generator with columns (1,0) and (rho cos, rho sin)."""
-    return np.array([[1.0, lat.c], [0.0, lat.h]])
-
-
 def babai_cell(lat: Lattice2D) -> Rect:
     """Nearest-plane cell of the origin: [-1/2, 1/2] x [-h/2, h/2]."""
     half_h = lat.h / 2.0
@@ -152,25 +144,6 @@ class ConvexPolygon:
         for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
             total += ax * by - bx * ay
         return 0.5 * total
-
-    def contains(self, p: Point2 | tuple[float, float], tol: float = 1e-9) -> bool:
-        px, py = p
-        verts = self.vertices
-        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
-                return False
-        return True
-
-    def is_centrally_symmetric(self, tol: float = 1e-9) -> bool:
-        n = len(self.vertices)
-        if n % 2:
-            return False
-        half = n // 2
-        return all(
-            abs(self.vertices[i].x1 + self.vertices[i + half].x1) <= tol
-            and abs(self.vertices[i].x2 + self.vertices[i + half].x2) <= tol
-            for i in range(half)
-        )
 
 
 def _reduced_basis(lat: Lattice2D) -> tuple[tuple[int, int], tuple[int, int]]:

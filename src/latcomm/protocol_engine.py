@@ -13,6 +13,11 @@ materialized.  Aggregate quantities (the transcript entropy) are computed by
 a recursion that merges structurally identical subtrees via node tags,
 so they stay exact and cheap at any depth.
 
+Monte Carlo runs bit exchange only, through one vectorized stopping-time
+kernel: a pair's round count is the position of the first bit its two binary
+expansions differ in, capped at the depth, and each round is two one-bit
+messages.  The lattice round count reuses the same kernel.
+
 All interval endpoints encountered here are dyadic rationals, which binary
 floating point represents exactly; interval walks therefore never drift.
 """
@@ -30,7 +35,6 @@ from .partition_core import LabeledPartition, Rect, check_partition_depth, parti
 
 __all__ = [
     "Transcript",
-    "RunStats",
     "ProtocolTree",
     "make_leaf",
     "make_node",
@@ -63,14 +67,6 @@ class Transcript:
         return len(self.messages)
 
 
-@dataclass(frozen=True)
-class RunStats:
-    sample_count: int
-    mean_bits: float
-    mean_rounds: float
-    seed: int
-
-
 class _Leaf:
     __slots__ = ("value", "i1", "i2")
 
@@ -87,9 +83,10 @@ class _Node:
         if speaker not in (1, 2):
             raise ValueError("speaker must be 1 or 2")
         own = i1 if speaker == 1 else i2
-        if abs(bounds[0] - own[0]) > 0.0 or abs(bounds[-1] - own[1]) > 0.0:
+        # Written so that a NaN endpoint or cut fails each comparison.
+        if bounds[0] != own[0] or bounds[-1] != own[1]:
             raise ValueError("message map must partition the speaker's interval")
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        if any(not a < b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("message cuts must be strictly increasing")
         self.speaker = speaker
         self.i1 = i1
@@ -125,7 +122,7 @@ class ProtocolTree:
     def child(self, node: _Node, i: int):
         ch = node.children[i]
         if ch is None:
-            if self._expander is None:
+            if not self._expander:
                 raise ValueError("node has unexpanded children and no expander")
             ch = self._expander(self, node, i)
             node.children[i] = ch
@@ -316,23 +313,6 @@ def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:
         yield np.random.default_rng(child).random((min(_CHUNK, samples - start), 2))
 
 
-def _walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
-    """Total bits and rounds over the pairs; a k-symbol message is log2(k) bits."""
-    messages: dict[int, int] = {}  # alphabet size -> messages sent over it
-    total_rounds = 0
-    for x1, x2 in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
-        node = tree.root
-        t = 0
-        while type(node) is not _Leaf:
-            x = x1 if node.speaker == 1 else x2
-            k = len(node.bounds) - 1
-            messages[k] = messages.get(k, 0) + 1
-            t += 1
-            node = tree.child(node, bisect_right(node.bounds, x) - 1)
-        total_rounds += (t + 1) // 2
-    return math.fsum(n * math.log2(k) for k, n in messages.items()), total_rounds
-
-
 def _stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int) -> np.ndarray:
     """Bit-exchange round count of every pair (u1[i], u2[i]) in [0, 1], capped.
 
@@ -356,23 +336,16 @@ def _stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int) -> np.ndarray:
     return np.minimum(cap + 1 - bit_length, cap)
 
 
-def monte_carlo(tree: ProtocolTree, samples: int, seed: int) -> RunStats:
-    """Mean bit and round counts over i.i.d. uniform input pairs.
+def monte_carlo(max_depth: int, samples: int, seed: int) -> tuple[float, float]:
+    """Mean bits and mean rounds of depth-capped bit exchange over uniform pairs.
 
-    Deterministic given the seed: the pairs come from :func:`sample_inputs`
-    and per-chunk tallies are summed in chunk order.  Bit-exchange trees are
-    counted by a vectorized first-differing-bit kernel, where each round is
-    two one-bit messages; other trees are walked pair by pair, a message
-    over k symbols adding log2(k) bits.
+    The pairs come from :func:`sample_inputs`; each pair's round count is its
+    first differing bit, capped at ``max_depth``, counted by
+    :func:`_stopping_rounds`, and every round is two one-bit messages.  The
+    depth is checked before the samples.  Deterministic given the seed.
     """
-    total_bits = 0
-    total_rounds = 0
+    check_max_depth(max_depth)
+    total = 0
     for pairs in sample_inputs(seed, samples):
-        if tree._expander is _bx_expander:
-            rounds = int(_stopping_rounds(pairs[:, 0], pairs[:, 1], tree.max_depth).sum())
-            bits = 2 * rounds
-        else:
-            bits, rounds = _walk_totals(tree, pairs)
-        total_bits += bits
-        total_rounds += rounds
-    return RunStats(samples, total_bits / samples, total_rounds / samples, seed)
+        total += int(_stopping_rounds(pairs[:, 0], pairs[:, 1], max_depth).sum())
+    return 2 * total / samples, total / samples

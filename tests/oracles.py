@@ -10,11 +10,41 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 
-from latcomm import Lattice2D, LabeledPartition, Rect
+from latcomm import ConvexPolygon, Lattice2D, LabeledPartition, ProtocolTree, Rect
+from latcomm.protocol_engine import _Leaf
+
+
+def generator_matrix(lat: Lattice2D) -> np.ndarray:
+    """Upper-triangular generator with columns (1,0) and (rho cos, rho sin)."""
+    return np.array([[1.0, lat.c], [0.0, lat.h]])
+
+
+def polygon_contains(poly: ConvexPolygon, p, tol: float = 1e-9) -> bool:
+    """Whether p lies in the counterclockwise convex polygon, up to ``tol`` outside an edge."""
+    px, py = p
+    verts = poly.vertices
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
+            return False
+    return True
+
+
+def is_centrally_symmetric(poly: ConvexPolygon, tol: float = 1e-9) -> bool:
+    """Whether vertex i + n/2 is the reflection of vertex i through the origin, to ``tol``."""
+    n = len(poly.vertices)
+    if n % 2:
+        return False
+    half = n // 2
+    return all(
+        abs(poly.vertices[i].x1 + poly.vertices[i + half].x1) <= tol
+        and abs(poly.vertices[i].x2 + poly.vertices[i + half].x2) <= tol
+        for i in range(half)
+    )
 
 
 def brute_force_nearest(lat: Lattice2D, x, radius: int = 3):
@@ -107,6 +137,27 @@ def doubling_stopping_rounds(u1: np.ndarray, u2: np.ndarray, cap: int = 60) -> n
         still[active] = b1 == b2
         active = still
     return rounds
+
+
+def walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
+    """Total bits and rounds over the pairs, walking the lazy tree pair by pair.
+
+    Every message over k symbols adds log2(k) bits; a round is a pair of
+    messages, the last one possibly unanswered.
+    """
+    messages: dict[int, int] = {}  # alphabet size -> messages sent over it
+    total_rounds = 0
+    for x1, x2 in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+        node = tree.root
+        t = 0
+        while type(node) is not _Leaf:
+            x = x1 if node.speaker == 1 else x2
+            k = len(node.bounds) - 1
+            messages[k] = messages.get(k, 0) + 1
+            t += 1
+            node = tree.child(node, bisect_right(node.bounds, x) - 1)
+        total_rounds += (t + 1) // 2
+    return math.fsum(n * math.log2(k) for k, n in messages.items()), total_rounds
 
 
 def round_count_by_doubling(sub, samples: int, seed: int) -> float:

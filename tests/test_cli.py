@@ -247,16 +247,24 @@ def test_simulate_transcript_dump(tmp_path, capsys):
         assert len(symbols) >= 2 and all(s in ("0", "1") for s in symbols)
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_rejected_simulate_keeps_the_transcript_file(tmp_path, capsys, samples):
+_SAMPLES_ERROR = "error: samples must be >= 1\n"
+_DEPTH_ERROR = "error: max_depth must be in [1, 50]\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["--samples", "0"], _SAMPLES_ERROR, id="0"),
+    pytest.param(["--samples", "-3"], _SAMPLES_ERROR, id="-3"),
+    pytest.param(["--max-depth", "0"], _DEPTH_ERROR, id="max-depth-0"),
+    pytest.param(["--max-depth", "51"], _DEPTH_ERROR, id="max-depth-51"),
+    # The depth is checked before the samples.
+    pytest.param(["--max-depth", "0", "--samples", "0"], _DEPTH_ERROR, id="max-depth-0-samples-0"),
+])
+def test_rejected_simulate_keeps_the_transcript_file(tmp_path, capsys, argv, error):
     path = tmp_path / "runs.txt"
-    path.write_text("keep me\n")
-    code, out, err = run_cli(
-        capsys, "simulate", "--samples", samples, "--transcripts", str(path)
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert path.read_text() == "keep me\n"
+    path.write_bytes(b"keep me\n")
+    code, out, err = run_cli(capsys, "simulate", *argv, "--transcripts", str(path))
+    assert (code, out, err) == (2, "", error)
+    assert path.read_bytes() == b"keep me\n"
 
 
 def test_parser_is_built_once_and_shared():

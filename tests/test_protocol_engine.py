@@ -21,9 +21,14 @@ from latcomm import (
     trivial_protocol,
     rate_matches_partition_entropy,
 )
-from latcomm.protocol_engine import ProtocolTree, RunStats, _stopping_rounds, _walk_totals
+from latcomm.protocol_engine import ProtocolTree, _stopping_rounds
 
-from oracles import closed_form_truncated_bits, doubling_stopping_rounds, first_differ_round
+from oracles import (
+    closed_form_truncated_bits,
+    doubling_stopping_rounds,
+    first_differ_round,
+    walk_totals,
+)
 
 unit_floats = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 
@@ -101,6 +106,7 @@ def test_trivial_tree():
     part = induced_partition(trivial_protocol())
     assert len(part.cells) == 0 and len(part.residual) == 1
     assert partition_entropy(part) == 0.0
+    assert sum_rate(trivial_protocol()) == 0.0
     assert rate_matches_partition_entropy(trivial_protocol())
 
 
@@ -190,6 +196,10 @@ def test_message_map_must_partition_interval():
     unit = (0.0, 1.0)
     with pytest.raises(ValueError, match="partition"):
         make_node(1, unit, unit, (0.0, 0.5, 0.9), [make_leaf(0, unit, unit)] * 2)
+    with pytest.raises(ValueError, match="partition"):
+        make_node(1, unit, unit, (0.0, 0.5, math.nan), [make_leaf(0, unit, unit)] * 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        make_node(1, unit, unit, (0.0, math.nan, 1.0), [make_leaf(0, unit, unit)] * 2)
 
 
 def test_ternary_alphabet_protocol():
@@ -201,40 +211,28 @@ def test_ternary_alphabet_protocol():
     assert abs(sum_rate(tree) - math.log2(3)) < 1e-12
     t = run_protocol(tree, 0.5, 0.5)
     assert t.messages == (1,) and t.stopping_time == 1
-    stats = monte_carlo(tree, 4096, seed=5)
-    assert stats.mean_bits == math.log2(3) and stats.mean_rounds == 1.0
 
 
-def _walked_stats(tree, samples, seed):
+def _walked_means(tree, samples, seed):
     bits = rounds = 0
     for pairs in sample_inputs(seed, samples):
-        b, r = _walk_totals(tree, pairs)
+        b, r = walk_totals(tree, pairs)
         bits += b
         rounds += r
-    return RunStats(samples, bits / samples, rounds / samples, seed)
+    return bits / samples, rounds / samples
 
 
 @pytest.mark.parametrize("depth", [1, 4, 5, 6, 7, 8, 30, 50])
 @pytest.mark.parametrize("seed, samples", [(0x5EED, 70_000), (7, 1_000), (2**31 - 1, 65_536)])
 def test_monte_carlo_kernel_matches_tree_walk(depth, seed, samples):
     tree = bit_exchange_protocol(depth)
-    assert monte_carlo(tree, samples, seed) == _walked_stats(tree, samples, seed)
+    assert monte_carlo(depth, samples, seed) == _walked_means(tree, samples, seed)
 
 
 def test_monte_carlo_deterministic_reference_value():
-    tree = bit_exchange_protocol(30)
-    stats = monte_carlo(tree, 10**6, seed=24301)
-    assert (stats.mean_bits, stats.mean_rounds) == (3.996896, 1.998448)
-    assert monte_carlo(tree, 150_000, seed=0x5EED) == monte_carlo(tree, 150_000, seed=0x5EED)
-    assert monte_carlo(tree, 150_000, seed=7) != monte_carlo(tree, 150_000, seed=0x5EED)
-
-
-def test_monte_carlo_walks_custom_trees():
-    tree = one_round_quadrant_protocol()
-    stats = monte_carlo(tree, 70_000, seed=3)
-    assert stats == _walked_stats(tree, 70_000, 3)
-    # one message when x1 < 1/2, two otherwise
-    assert 1.45 < stats.mean_bits < 1.55 and stats.mean_rounds == 1.0
+    assert monte_carlo(30, 10**6, seed=24301) == (3.996896, 1.998448)
+    assert monte_carlo(30, 150_000, seed=0x5EED) == monte_carlo(30, 150_000, seed=0x5EED)
+    assert monte_carlo(30, 150_000, seed=7) != monte_carlo(30, 150_000, seed=0x5EED)
 
 
 _EDGES = [1.0, 0.0, 1.0 - 2.0**-53, 2.0**-61, 2.0**-70, 0.5, 0.25 + 2.0**-54, 1.0 / 3.0]
@@ -294,30 +292,26 @@ def test_sample_inputs_builds_no_seed_list_up_front():
 
 
 def test_monte_carlo_single_sample_reproducible():
-    tree = bit_exchange_protocol(30)
-    stats = monte_carlo(tree, 1, seed=42)
+    mean_bits, mean_rounds = monte_carlo(30, 1, seed=42)
     pairs = next(sample_inputs(42, 1))
-    t = run_protocol(tree, pairs[0, 0], pairs[0, 1])
-    assert stats.mean_bits == t.stopping_time
-    assert stats.mean_rounds == (t.stopping_time + 1) // 2
-    assert monte_carlo(tree, 1, seed=42) == stats
+    t = run_protocol(bit_exchange_protocol(30), pairs[0, 0], pairs[0, 1])
+    assert mean_bits == t.stopping_time
+    assert mean_rounds == (t.stopping_time + 1) // 2
+    assert monte_carlo(30, 1, seed=42) == (mean_bits, mean_rounds)
 
 
 def test_monte_carlo_matches_expectations():
-    tree = bit_exchange_protocol(30)
-    stats = monte_carlo(tree, 400_000, seed=0x5EED)
-    assert abs(stats.mean_bits - 4.0) < 0.02
-    assert abs(stats.mean_rounds - 2.0) < 0.01
-
-
-def test_monte_carlo_on_a_leaf_root():
-    # A zero-message tree sends nothing: no bits and no rounds per sample.
-    assert monte_carlo(trivial_protocol(), 1000, seed=3) == RunStats(1000, 0.0, 0.0, 3)
+    mean_bits, mean_rounds = monte_carlo(30, 400_000, seed=0x5EED)
+    assert abs(mean_bits - 4.0) < 0.02
+    assert abs(mean_rounds - 2.0) < 0.01
 
 
 def test_monte_carlo_validates_samples():
-    with pytest.raises(ValueError):
-        monte_carlo(bit_exchange_protocol(2), 0, seed=1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        monte_carlo(2, 0, seed=1)
+    # The depth is checked first.
+    with pytest.raises(ValueError, match=r"must be in \[1, 50\]"):
+        monte_carlo(0, 0, seed=1)
 
 
 def test_depth_limits():
