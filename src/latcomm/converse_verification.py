@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 from .partition_core import (
     PROB_TOL,
     LabeledPartition,
-    Rect,
     TargetFunction,
     check_partition_depth,
     entropy_bits,
@@ -181,8 +180,7 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
     check_max_depth(depth)
     check_partition_depth(depth)
-    cells: list[tuple[Rect, str]] = []
-    residual: list[Rect] = []
+    cells, residual = [], []
 
     def build(lo: float, hi: float, level: int) -> None:
         cut = lo + v * (hi - lo)
@@ -191,17 +189,17 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
                 f"v = {v!r} at depth {depth} is too fine for double precision: "
                 f"the level-{level} cut of the square [{lo!r}, {hi!r}]^2 rounds onto its edge"
             )
-        cells.append((Rect(cut, hi, lo, cut), "p"))
-        cells.append((Rect(lo, cut, cut, hi), "q"))
+        cells.append((cut, hi, lo, cut))
+        cells.append((lo, cut, cut, hi))
         if level == depth:
-            residual.append(Rect(lo, cut, lo, cut))
-            residual.append(Rect(cut, hi, cut, hi))
+            residual.append((lo, cut, lo, cut))
+            residual.append((cut, hi, cut, hi))
         else:
             build(lo, cut, level + 1)
             build(cut, hi, level + 1)
 
     build(0.0, 1.0, 1)
-    return LabeledPartition(tuple(cells), tuple(residual))
+    return LabeledPartition(cells, ["p", "q"] * (len(cells) // 2), residual)
 
 
 def side_conditional_entropy(part: LabeledPartition, side: str = "p") -> float:
@@ -213,11 +211,12 @@ def side_conditional_entropy(part: LabeledPartition, side: str = "p") -> float:
     """
     if side not in ("p", "q"):
         raise ValueError("side must be 'p' or 'q'")
-    probs = [r.area * 2.0 for r, lbl in part.cells if lbl == side]
-    for r in part.residual:
-        if abs(r.x_lo - r.y_lo) > 1e-9 or abs(r.width - r.height) > 1e-9:
-            raise ValueError(f"residual cell {r.as_list()} is not a diagonal square")
-        probs.append(r.area)
+    x_lo, x_hi, y_lo, y_hi = part.residual.T
+    off = part.residual[(abs(x_lo - y_lo) > 1e-9) | (abs((x_hi - x_lo) - (y_hi - y_lo)) > 1e-9)]
+    if len(off):
+        raise ValueError(f"residual cell {off[0].tolist()} is not a diagonal square")
+    side_probs = part.p_probs() if side == "p" else part.q_probs()
+    probs = (side_probs * 2.0).tolist() + part.all_probs()[len(part.cells):].tolist()
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"conditional masses sum to {total!r}, not 1")

@@ -291,6 +291,12 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     error-free cell is returned.  Outside the supported corner-cut topology
     (requires cos(theta) < rho and rho*cos(theta) < 1) the construction
     raises :class:`UnsupportedGeometryError` rather than guessing.
+
+    The rates charge 4 bits per crossed cell, the cost of min(X1, X2).  That
+    premise holds only for a cell split on its diagonal, an affine image of
+    the unit-square problem.  For c = rho*cos(theta) != 1/2 two crossed cells
+    are not: for c < 1/2 the upper-left cell's boundary segment spans only
+    c/(1-c) of its width, and the lower-right cell mirrors it.
     """
     c, h = lat.c, lat.h
     if c <= _GEOM_TOL * lat.rho:

@@ -1,20 +1,23 @@
 """Rectangular partitions of the unit square under the uniform measure.
 
 A partition is a finite collection of axis-aligned cells with pairwise
-disjoint interiors whose closures cover ``[0,1]^2``.  Decided cells carry
-label ``"p"`` (target function equals 1) or ``"q"`` (equals 0); finite-depth
-constructions keep their undecided leftovers as *residual* cells.  Cell
-probability is plain area.
+disjoint interiors whose closures cover ``[0,1]^2``, held as arrays of rows
+``(x_lo, x_hi, y_lo, y_hi)``.  Decided cells carry label ``"p"`` (target
+function equals 1) or ``"q"`` (equals 0); finite-depth constructions keep
+their undecided leftovers as *residual* rows.  Cell probability is plain
+area, and each per-cell quantity is one array expression over the rows.
 
-Every partition is validated when it is built, by one exact test: a
-half-open cell [a, b) x [c, d) is the signed sum of the quadrant indicators
-at its corners, +1 at (a, c) and (b, d) and -1 at (b, c) and (a, d).  The
-indicators of distinct points are linearly independent, so the cells tile
-[0, 1)^2 if and only if all their corner weights, minus the unit square's,
-cancel at every point.  That holds exactly when every cell lies in the
-square, no two interiors meet and the areas sum to 1, with no tolerance.
+Every partition is validated when it is built.  A mask asks that
+``0 <= lo < hi <= 1`` on both axes of every row, and NaN fails it; a
+reversed cell must fail here, since its corner weights would cancel those
+of its mirror copy in the exact test that follows.  A half-open cell
+[a, b) x [c, d) is the signed sum of the quadrant indicators at its corners,
++1 at (a, c) and (b, d) and -1 at (b, c) and (a, d).  The indicators of
+distinct points are linearly independent, so the cells tile [0, 1)^2 if and
+only if all their corner weights, minus the unit square's, cancel at every
+point: no two interiors meet and the areas sum to 1, with no tolerance.
 
-Besides the bookkeeping types, this module provides zero-error validation
+Besides the partition type, this module provides zero-error validation
 against the two supported target functions, majorization of probability
 vectors, the grow-the-largest-rectangle readjustment move, and the staircase
 area machinery that bounds sums of cell probabilities in any zero-error
@@ -111,17 +114,6 @@ class Rect:
     def as_list(self) -> list[float]:
         return [self.x_lo, self.x_hi, self.y_lo, self.y_hi]
 
-    def corner_key(self) -> tuple[float, float, float, float]:
-        """Sort key: lower-left corner first, then upper-right."""
-        return (self.x_lo, self.y_lo, self.x_hi, self.y_hi)
-
-    def interior_overlaps(self, other: "Rect") -> bool:
-        """True when the open interiors meet: cells may share edges."""
-        return (
-            min(self.x_hi, other.x_hi) > max(self.x_lo, other.x_lo)
-            and min(self.y_hi, other.y_hi) > max(self.y_lo, other.y_lo)
-        )
-
 
 def _is_number(v: object) -> bool:
     """True for a finite int or float (JSON booleans excluded)."""
@@ -165,14 +157,15 @@ def _exact_area_excess(coords: np.ndarray) -> tuple[int, int]:
 def _check_tiles_unit_square(coords: np.ndarray) -> None:
     """Reject cells, rows of ``coords``, that do not tile [0, 1)^2 exactly.
 
-    The test is the corner cancellation of the module docstring: group the
-    signed corners by point and sum their weights.
+    The test is the bounds mask, then the corner cancellation of the module
+    docstring: group the signed corners by point and sum their weights.
     """
-    outside = np.flatnonzero(
-        (coords[:, 0] < 0.0) | (coords[:, 2] < 0.0) | (coords[:, 1] > 1.0) | (coords[:, 3] > 1.0)
-    )
-    if outside.size:
-        raise ValueError(f"cell {coords[outside[0]].tolist()} leaves the unit square")
+    x_lo, x_hi, y_lo, y_hi = coords.T
+    inside = (0.0 <= x_lo) & (x_lo < x_hi) & (x_hi <= 1.0)
+    inside &= (0.0 <= y_lo) & (y_lo < y_hi) & (y_hi <= 1.0)
+    bad = coords[~inside]
+    if len(bad):
+        raise ValueError(f"cell {bad[0].tolist()} is not a nonempty rectangle in the unit square")
     signed = np.concatenate((coords, _UNIT_SQUARE))
     n = len(coords)
     xs = signed[:, _CORNER_X].T.ravel()
@@ -207,59 +200,68 @@ def _check_tiles_unit_square(coords: np.ndarray) -> None:
     )
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
-    """Labeled cells plus optional undecided residual cells.
+def _cell_rows(rows) -> np.ndarray:
+    """Read-only (n, 4) float copy of ``rows``; ValueError unless each has 4 numbers."""
+    arr = np.array(rows, dtype=float)
+    arr = arr.reshape(len(arr), 4)
+    arr.flags.writeable = False
+    return arr
 
-    Invariants enforced at construction: every cell lies in the unit square,
-    interiors are pairwise disjoint, and the total area (residual included),
-    summed exactly, is 1.  One exact vectorized test decides all three: the
-    corner weights of the cells, minus those of the square, must cancel at
-    every point (see the module docstring).  A rejected partition's exact
-    area sum picks the message: a total other than 1 is reported as such,
-    and a total of exactly 1 means two interiors overlap.
+
+def _areas(rows: np.ndarray) -> np.ndarray:
+    return (rows[:, 1] - rows[:, 0]) * (rows[:, 3] - rows[:, 2])
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledPartition:
+    """Read-only arrays: (n, 4) ``cells``, n ``labels`` and (k, 4) ``residual``.
+
+    Rows are (x_lo, x_hi, y_lo, y_hi); each decided cell is labeled ``"p"`` or
+    ``"q"``.  The constructor keeps read-only copies of its array-likes and
+    enforces, by the bounds mask and the exact corner test of the module
+    docstring, 0 <= lo < hi <= 1 on both axes, disjoint interiors and a total
+    area (residual included) of exactly 1.  A rejected partition's exact area
+    sum picks the message: a total other than 1 is reported as such, and a
+    total of exactly 1 means two interiors overlap.
     """
 
-    cells: tuple[tuple[Rect, str], ...]
-    residual: tuple[Rect, ...] = ()
+    cells: np.ndarray
+    labels: np.ndarray
+    residual: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple((r, lbl) for r, lbl in self.cells))
-        object.__setattr__(self, "residual", tuple(self.residual))
-        for r, lbl in self.cells:
-            if lbl not in ("p", "q"):
-                raise ValueError(f"unknown cell label {lbl!r}")
-        everything = [r for r, _ in self.cells] + list(self.residual)
-        if not everything:
+        cells = _cell_rows(self.cells)
+        residual = _cell_rows(self.residual)
+        labels = np.array(self.labels, dtype=str)
+        if labels.shape != (len(cells),):
+            raise ValueError(f"{len(cells)} cells need as many labels, got shape {labels.shape}")
+        unknown = labels[(labels != "p") & (labels != "q")]
+        if unknown.size:
+            raise ValueError(f"unknown cell label {str(unknown[0])!r}")
+        labels.flags.writeable = False
+        for name, value in (("cells", cells), ("labels", labels), ("residual", residual)):
+            object.__setattr__(self, name, value)
+        if not len(cells) + len(residual):
             raise ValueError("empty partition")
-        columns = [[r.x_lo for r in everything], [r.x_hi for r in everything],
-                   [r.y_lo for r in everything], [r.y_hi for r in everything]]
-        _check_tiles_unit_square(np.array(columns, dtype=float).T)
+        _check_tiles_unit_square(np.concatenate((cells, residual)))
 
-    def p_probs(self) -> list[float]:
-        return [r.area for r, lbl in self.cells if lbl == "p"]
+    def p_probs(self) -> np.ndarray:
+        return _areas(self.cells[self.labels == "p"])
 
-    def q_probs(self) -> list[float]:
-        return [r.area for r, lbl in self.cells if lbl == "q"]
+    def q_probs(self) -> np.ndarray:
+        return _areas(self.cells[self.labels == "q"])
 
-    def residual_probs(self) -> list[float]:
-        return [r.area for r in self.residual]
-
-    def all_probs(self) -> list[float]:
-        return [r.area for r, _ in self.cells] + self.residual_probs()
+    def all_probs(self) -> np.ndarray:
+        return _areas(np.concatenate((self.cells, self.residual)))
 
     def to_json_dict(self) -> dict:
-        out = [
-            {"rect": r.as_list(), "label": lbl, "prob": r.area}
-            for r, lbl in self.cells
-        ]
-        out += [
-            {"rect": r.as_list(), "label": "u", "prob": r.area}
-            for r in self.residual
-        ]
-        return {"cells": out}
+        rows = np.concatenate((self.cells, self.residual))
+        labels = self.labels.tolist() + ["u"] * len(self.residual)
+        cells = zip(rows.tolist(), labels, _areas(rows).tolist())
+        return {"cells": [{"rect": r, "label": lbl, "prob": p} for r, lbl, p in cells]}
 
     def to_json(self) -> str:
+        # Not a test helper: the benchmark's tracer looks this method up by name.
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
@@ -267,8 +269,7 @@ class LabeledPartition:
         """Partition from its JSON form; malformed input raises ValueError."""
         if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
             raise ValueError('partition JSON must be an object with a "cells" list')
-        cells = []
-        residual = []
+        cells, labels, residual = [], [], []
         for entry in data["cells"]:
             if not isinstance(entry, dict) or "rect" not in entry or "label" not in entry:
                 raise ValueError(f'partition cell needs "rect" and "label": {entry!r}')
@@ -279,16 +280,16 @@ class LabeledPartition:
                 and all(_is_number(v) for v in coords)
             ):
                 raise ValueError(f"cell rect must be 4 finite numbers, got {coords!r}")
-            r = Rect(*coords)
+            area = (float(coords[1]) - coords[0]) * (float(coords[3]) - coords[2])
             prob = entry.get("prob")
-            if prob is not None and (not _is_number(prob) or abs(prob - r.area) > 1e-9):
-                raise ValueError(f"stored prob {prob!r} inconsistent with {r.as_list()}")
-            label = entry["label"]
-            if label == "u":
-                residual.append(r)
+            if prob is not None and (not _is_number(prob) or abs(prob - area) > 1e-9):
+                raise ValueError(f"stored prob {prob!r} inconsistent with {coords}")
+            if entry["label"] == "u":
+                residual.append(coords)
             else:
-                cells.append((r, label))
-        return cls(tuple(cells), tuple(residual))
+                cells.append(coords)
+                labels.append(str(entry["label"]))
+        return cls(cells, labels, residual)
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledPartition":
@@ -310,17 +311,13 @@ def is_zero_error(part: LabeledPartition, f: TargetFunction) -> bool:
     Residual cells are not inspected, so the check composes with partial
     (finite-depth) constructions: it validates the decided cells only.
     """
-    for r, lbl in part.cells:
-        if f is TargetFunction.MIN_INDICATOR:
-            ok = r.y_hi <= r.x_lo if lbl == "p" else r.x_hi <= r.y_lo
-        else:
-            if lbl == "p":
-                ok = r.x_lo >= 0.5 and r.y_lo >= 0.5
-            else:
-                ok = r.x_hi <= 0.5 or r.y_hi <= 0.5
-        if not ok:
-            return False
-    return True
+    x_lo, x_hi, y_lo, y_hi = part.cells.T
+    if f is TargetFunction.MIN_INDICATOR:
+        p_ok, q_ok = y_hi <= x_lo, x_hi <= y_lo
+    else:
+        p_ok = (x_lo >= 0.5) & (y_lo >= 0.5)
+        q_ok = (x_hi <= 0.5) | (y_hi <= 0.5)
+    return bool(np.all(np.where(part.labels == "p", p_ok, q_ok)))
 
 
 def majorizes(p: Sequence[float], q: Sequence[float], tol: float = PROB_TOL) -> bool:
@@ -347,21 +344,22 @@ def majorizes(p: Sequence[float], q: Sequence[float], tol: float = PROB_TOL) -> 
     return True
 
 
-def _subtract(r: Rect, s: Rect) -> list[Rect]:
-    """Parts of r outside s, as up to four rectangles."""
-    if not r.interior_overlaps(s):
-        return [r]
-    ix_lo, ix_hi = max(r.x_lo, s.x_lo), min(r.x_hi, s.x_hi)
-    iy_lo, iy_hi = max(r.y_lo, s.y_lo), min(r.y_hi, s.y_hi)
+def _subtract(row: list[float], s: Rect) -> list[list[float]]:
+    """Parts of the cell ``row`` outside s, as up to four rows."""
+    x_lo, x_hi, y_lo, y_hi = row
+    ix_lo, ix_hi = max(x_lo, s.x_lo), min(x_hi, s.x_hi)
+    iy_lo, iy_hi = max(y_lo, s.y_lo), min(y_hi, s.y_hi)
+    if not (ix_lo < ix_hi and iy_lo < iy_hi):  # the open interiors do not meet
+        return [row]
     pieces = []
-    if r.x_lo < ix_lo:
-        pieces.append(Rect(r.x_lo, ix_lo, r.y_lo, r.y_hi))
-    if ix_hi < r.x_hi:
-        pieces.append(Rect(ix_hi, r.x_hi, r.y_lo, r.y_hi))
-    if r.y_lo < iy_lo:
-        pieces.append(Rect(ix_lo, ix_hi, r.y_lo, iy_lo))
-    if iy_hi < r.y_hi:
-        pieces.append(Rect(ix_lo, ix_hi, iy_hi, r.y_hi))
+    if x_lo < ix_lo:
+        pieces.append([x_lo, ix_lo, y_lo, y_hi])
+    if ix_hi < x_hi:
+        pieces.append([ix_hi, x_hi, y_lo, y_hi])
+    if y_lo < iy_lo:
+        pieces.append([ix_lo, ix_hi, y_lo, iy_lo])
+    if iy_hi < y_hi:
+        pieces.append([ix_lo, ix_hi, iy_hi, y_hi])
     return pieces
 
 
@@ -380,23 +378,22 @@ def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     cut in two, so a residual square [lo, hi]^2 with lo < v < hi can break
     majorization; recursive corner-cut partitions have no such square.
     """
-    p_cells = [(r, lbl) for r, lbl in part.cells if lbl == "p"]
-    if not p_cells:
+    p_rows = np.flatnonzero(part.labels == "p")
+    if not p_rows.size:
         raise ValueError("partition has no p-labeled cells")
-    target = max(p_cells, key=lambda c: (c[0].area, tuple(-v for v in c[0].corner_key())))[0]
-    v = target.y_hi
+    x_lo, x_hi, y_lo, y_hi = part.cells[p_rows].T
+    target = p_rows[np.lexsort((y_hi, x_hi, y_lo, x_lo, -_areas(part.cells[p_rows])))[0]]
+    v = float(part.cells[target, 3])
     grown = Rect(v, 1.0, 0.0, v)
 
-    new_cells: list[tuple[Rect, str]] = [(grown, "p")]
-    for r, lbl in part.cells:
-        if r is target:
-            continue
-        for piece in _subtract(r, grown):
-            new_cells.append((piece, lbl))
-    new_residual: list[Rect] = []
-    for r in part.residual:
-        new_residual.extend(_subtract(r, grown))
-    return LabeledPartition(tuple(new_cells), tuple(new_residual))
+    cells, labels = [grown.as_list()], ["p"]
+    for i, (row, label) in enumerate(zip(part.cells.tolist(), part.labels.tolist())):
+        if i != target:
+            pieces = _subtract(row, grown)
+            cells += pieces
+            labels += [label] * len(pieces)
+    residual = [piece for row in part.residual.tolist() for piece in _subtract(row, grown)]
+    return LabeledPartition(cells, labels, residual)
 
 
 def staircase_area(corners: Sequence[float]) -> float:
@@ -474,11 +471,11 @@ def satisfies_staircase_bounds(part: LabeledPartition, tol: float = PROB_TOL) ->
     are only required to carry equal mass.
     """
     for probs in (part.p_probs(), part.q_probs()):
-        prefix = np.cumsum(np.sort(np.asarray(probs, dtype=float))[::-1])
+        prefix = np.cumsum(np.sort(probs)[::-1])
         if not np.all(prefix <= _staircase_bound(np.arange(1, len(prefix) + 1)) + tol):
             return False
     sp = math.fsum(part.p_probs())
     sq = math.fsum(part.q_probs())
-    if part.residual:
+    if len(part.residual):
         return abs(sp - sq) <= tol
     return abs(sp - 0.5) <= tol and abs(sq - 0.5) <= tol

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .partition_core import LabeledPartition, Rect, check_partition_depth, partition_entropy
+from .partition_core import LabeledPartition, check_partition_depth, partition_entropy
 
 __all__ = [
     "Transcript",
@@ -238,17 +238,15 @@ def induced_partition(tree: ProtocolTree) -> LabeledPartition:
     trees are available through :func:`sum_rate` instead.
     """
     check_partition_depth(tree.max_depth)
-    cells: list[tuple[Rect, str]] = []
-    residual: list[Rect] = []
+    cells, labels, residual = [], [], []
     for leaf in _iter_leaves(tree):
-        rect = Rect(leaf.i1[0], leaf.i1[1], leaf.i2[0], leaf.i2[1])
+        row = (*leaf.i1, *leaf.i2)
         if leaf.value is None:
-            residual.append(rect)
-        elif leaf.value == 1:
-            cells.append((rect, "p"))
+            residual.append(row)
         else:
-            cells.append((rect, "q"))
-    return LabeledPartition(tuple(cells), tuple(residual))
+            cells.append(row)
+            labels.append("p" if leaf.value == 1 else "q")
+    return LabeledPartition(cells, labels, residual)
 
 
 def _leaf_profile(tree: ProtocolTree) -> dict[float, int]:

@@ -12,10 +12,11 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from latcomm import ConvexPolygon, Lattice2D, LabeledPartition, ProtocolTree, Rect
+from latcomm import ConvexPolygon, Lattice2D, LabeledPartition, ProtocolTree, TargetFunction
 from latcomm.protocol_engine import _Leaf
 
 
@@ -207,36 +208,101 @@ def staircase_bounds_by_subsets(part: LabeledPartition) -> bool:
             if any(sum(subset) > bound for subset in itertools.combinations(probs, m)):
                 return False
     sp, sq = (sum(probs) for probs in sides)
-    if part.residual:
+    if len(part.residual):
         return sp == sq
     return sp == sq == Fraction(1, 2)
 
 
-def tiling_error_by_sweep(rects) -> str | None:
+def tiling_error_by_sweep(rows) -> str | None:
     """Why the cells fail to partition the unit square, or None if they do.
 
-    Returns "unit square" for a cell outside [0, 1]^2, "area" when the areas,
-    summed exactly over the largest denominator, differ from 1, and "overlap"
-    when an x-sorted sweep finds two cells whose open interiors meet.  The
-    three tests run in that order, pairwise and cell by cell.
+    ``rows`` are cells (x_lo, x_hi, y_lo, y_hi).  Returns "unit square" for a
+    cell that is not a nonempty rectangle inside [0, 1]^2, "area" when the
+    areas, summed exactly over the largest denominator, differ from 1, and
+    "overlap" when an x-sorted sweep finds two cells whose open interiors
+    meet.  The three tests run in that order, pairwise and cell by cell.
     """
-    for r in rects:
-        if r.x_lo < 0.0 or r.y_lo < 0.0 or r.x_hi > 1.0 or r.y_hi > 1.0:
+    rows = [tuple(r) for r in rows]
+    for x_lo, x_hi, y_lo, y_hi in rows:
+        if not (0.0 <= x_lo < x_hi <= 1.0 and 0.0 <= y_lo < y_hi <= 1.0):
             return "unit square"
-    ratios = {v: v.as_integer_ratio() for v in {v for r in rects for v in r.as_list()}}
+    ratios = {v: v.as_integer_ratio() for v in {v for r in rows for v in r}}
     den = max(d for _, d in ratios.values())
     s = {v: n * (den // d) for v, (n, d) in ratios.items()}
-    if sum((s[r.x_hi] - s[r.x_lo]) * (s[r.y_hi] - s[r.y_lo]) for r in rects) != den * den:
+    area = sum((s[x_hi] - s[x_lo]) * (s[y_hi] - s[y_lo]) for x_lo, x_hi, y_lo, y_hi in rows)
+    if area != den * den:
         return "area"
     # The active set holds the cells whose x-range contains the current x_lo.
-    active: list[Rect] = []
-    for r in sorted(rects, key=lambda r: r.x_lo):
-        active = [a for a in active if a.x_hi > r.x_lo]
+    active: list[tuple] = []
+    for r in sorted(rows):
+        active = [a for a in active if a[1] > r[0]]
         for a in active:
-            if min(r.x_hi, a.x_hi) > max(r.x_lo, a.x_lo) and min(r.y_hi, a.y_hi) > max(r.y_lo, a.y_lo):
+            if min(r[1], a[1]) > max(r[0], a[0]) and min(r[3], a[3]) > max(r[2], a[2]):
                 return "overlap"
         active.append(r)
     return None
+
+
+def zero_error_by_cells(part: LabeledPartition, f: TargetFunction) -> bool:
+    """Whether every labeled cell lies in its level set of f, one cell at a time."""
+    for (x_lo, x_hi, y_lo, y_hi), lbl in zip(part.cells.tolist(), part.labels.tolist()):
+        if f is TargetFunction.MIN_INDICATOR:
+            ok = y_hi <= x_lo if lbl == "p" else x_hi <= y_lo
+        else:
+            if lbl == "p":
+                ok = x_lo >= 0.5 and y_lo >= 0.5
+            else:
+                ok = x_hi <= 0.5 or y_hi <= 0.5
+        if not ok:
+            return False
+    return True
+
+
+def grid_protocol_min_entropy(n: int) -> tuple[float, list[tuple[tuple[float, ...], str]]]:
+    """Least partition entropy of an interval-message protocol on the n x n grid.
+
+    A grid protocol cuts the current rectangle of grid cells along either
+    axis until each piece is decided: it lies wholly on one side of
+    x1 = x2 (label "p" below the diagonal, "q" above), or it is one
+    diagonal grid cell, which stays residual (label "u").  A leaf of area a
+    costs -a log2 a, so the minimum over all protocols is a dynamic program
+    over the sub-rectangles [a, b) x [c, d) of grid indices.  Returns the
+    minimum and one argmin's cells as ((x_lo, x_hi, y_lo, y_hi), label).
+    """
+
+    def leaf_label(a: int, b: int, c: int, d: int) -> str | None:
+        if d <= a:
+            return "p"
+        if b <= c:
+            return "q"
+        if b - a == 1 and d - c == 1:
+            return "u"
+        return None
+
+    @lru_cache(maxsize=None)
+    def best(a: int, b: int, c: int, d: int) -> tuple[float, tuple | None]:
+        if leaf_label(a, b, c, d) is not None:
+            area = (b - a) * (d - c) / (n * n)
+            return -area * math.log2(area), None
+        options = [(best(a, k, c, d)[0] + best(k, b, c, d)[0], (0, k)) for k in range(a + 1, b)]
+        options += [(best(a, b, c, k)[0] + best(a, b, k, d)[0], (1, k)) for k in range(c + 1, d)]
+        return min(options)
+
+    cells = []
+
+    def collect(a: int, b: int, c: int, d: int) -> None:
+        cut = best(a, b, c, d)[1]
+        if cut is None:
+            cells.append(((a / n, b / n, c / n, d / n), leaf_label(a, b, c, d)))
+        elif cut[0] == 0:
+            collect(a, cut[1], c, d)
+            collect(cut[1], b, c, d)
+        else:
+            collect(a, b, c, cut[1])
+            collect(a, b, cut[1], d)
+
+    collect(0, n, 0, n)
+    return best(0, n, 0, n)[0], cells
 
 
 def random_superbase_lattice(rng: np.random.Generator) -> Lattice2D:
@@ -272,22 +338,22 @@ def random_zero_error_partition(rng: np.random.Generator, max_depth: int = 4) ->
     diagonal squares stay residual, so the result is always a genuine
     zero-error partial partition.
     """
-    cells: list[tuple[Rect, str]] = []
-    residual: list[Rect] = []
+    cells: list[tuple[float, float, float, float]] = []
+    residual: list[tuple[float, float, float, float]] = []
 
     def build(lo: float, hi: float, depth: int) -> None:
         v = float(rng.uniform(0.2, 0.8))
         cut = lo + v * (hi - lo)
-        cells.append((Rect(cut, hi, lo, cut), "p"))
-        cells.append((Rect(lo, cut, cut, hi), "q"))
+        cells.append((cut, hi, lo, cut))
+        cells.append((lo, cut, cut, hi))
         for a, b in ((lo, cut), (cut, hi)):
             if depth < max_depth and rng.random() < 0.7:
                 build(a, b, depth + 1)
             else:
-                residual.append(Rect(a, b, a, b))
+                residual.append((a, b, a, b))
 
     build(0.0, 1.0, 1)
-    return LabeledPartition(tuple(cells), tuple(residual))
+    return LabeledPartition(cells, ["p", "q"] * (len(cells) // 2), residual)
 
 
 def random_majorizing_pair(rng: np.random.Generator, n: int) -> tuple[list[float], list[float]]:

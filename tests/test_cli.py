@@ -152,6 +152,28 @@ def test_partition_show_round_trip(tmp_path, capsys):
     assert abs(sum(part.all_probs()) - 1.0) < 1e-12
 
 
+def test_partition_show_echoes_integer_coordinates_as_floats(tmp_path, capsys):
+    # A partition is held as a float array, so integer JSON coordinates, and
+    # the area of an all-integer cell, come back as floats.
+    path = tmp_path / "part.json"
+    path.write_text(
+        '{"cells": [{"rect": [0, 1, 0, 0.5], "label": "q"},'
+        ' {"rect": [0, 1, 0.5, 1], "label": "u"}]}',
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "partition-show", "--in", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"cells": [
+        {"label": "q", "prob": 0.5, "rect": [0.0, 1.0, 0.0, 0.5]},
+        {"label": "u", "prob": 0.5, "rect": [0.0, 1.0, 0.5, 1.0]},
+    ]}
+    assert '"rect": [\n        0.0,\n        1.0,\n        0.0,\n        0.5\n      ]' in out
+    path.write_text('{"cells": [{"rect": [0, 1, 0, 1], "label": "u"}]}', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "partition-show", "--in", str(path), "--json")
+    assert code == 0
+    assert '"prob": 1.0,' in out and '"prob": 1,' not in out
+
+
 def test_partition_show_self_similar(capsys):
     code, out, _ = run_cli(capsys, "partition-show", "--v", "0.3", "--max-depth", "2", "--json")
     assert code == 0
@@ -443,6 +465,7 @@ def test_stdout_holds_only_the_rendered_report(capsys):
         '{"cells": [{"rect": [0, 1, 0, 1e999], "label": "u"}]}',
         '{"cells": [{"rect": "0 1 0 1", "label": "u"}]}',
         '{"cells": [{"rect": [0, 1, 0, 1], "label": "u", "prob": "1"}]}',
+        '{"cells": [{"rect": [0, 1, 0, 1], "label": [1, [2]]}]}',
         pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ],
 )

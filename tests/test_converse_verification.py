@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcomm import (
+    LabeledPartition,
     TargetFunction,
     assemble_four_bits,
     bit_exchange_protocol,
@@ -23,7 +24,12 @@ from latcomm import (
     satisfies_staircase_bounds,
 )
 
-from oracles import closed_form_truncated_bits
+from oracles import closed_form_truncated_bits, grid_protocol_min_entropy
+
+
+def area(row):
+    x_lo, x_hi, y_lo, y_hi = row
+    return (x_hi - x_lo) * (y_hi - y_lo)
 
 
 def test_quadrant_vertex_and_value():
@@ -92,8 +98,8 @@ def test_self_similar_half_equals_bit_exchange(depth):
     ours = self_similar_partition(0.5, depth)
     induced = induced_partition(bit_exchange_protocol(depth))
     key = lambda part: (
-        sorted((r.corner_key(), lbl) for r, lbl in part.cells),
-        sorted(r.corner_key() for r in part.residual),
+        sorted(zip(part.cells.tolist(), part.labels.tolist())),
+        sorted(part.residual.tolist()),
     )
     assert key(ours) == key(induced)
     assert partition_entropy(ours) == pytest.approx(closed_form_truncated_bits(depth), abs=1e-12)
@@ -111,8 +117,8 @@ def test_entropy_decomposes_by_side():
     # square in half; grouping by side must then reproduce the entropy.
     for v, depth in ((0.3, 5), (0.5, 4), (0.62, 6)):
         part = self_similar_partition(v, depth)
-        refined = [r.area for r, _ in part.cells]
-        refined += [r.area / 2.0 for r in part.residual for _ in range(2)]
+        refined = [area(r) for r in part.cells.tolist()]
+        refined += [area(r) / 2.0 for r in part.residual.tolist() for _ in range(2)]
         lhs = entropy_bits(refined)
         rhs = 1.0 + 0.5 * side_conditional_entropy(part, "p") + 0.5 * side_conditional_entropy(
             part, "q"
@@ -148,16 +154,16 @@ def test_half_partition_meets_staircase_bounds_with_equality():
     # The m largest p-cells of the v=1/2 partition have diagonal corners at
     # i/(m+1) and meet the m/(2(m+1)) bound exactly, for m = 2^j - 1.
     part = self_similar_partition(0.5, 6)
-    p_cells = sorted(((r.area, r) for r, lbl in part.cells if lbl == "p"), reverse=True,
-                     key=lambda t: (t[0], t[1].corner_key()))
+    p_cells = sorted(part.cells[part.labels == "p"].tolist(), reverse=True,
+                     key=lambda r: (area(r), r[0], r[2], r[1], r[3]))
     for j in (1, 2, 3):
         m = 2**j - 1
-        chosen = [r for _, r in p_cells[:m]]
-        corners = sorted(r.x_lo for r in chosen)
+        chosen = p_cells[:m]
+        corners = sorted(x_lo for x_lo, _, _, _ in chosen)
         assert corners == pytest.approx([i / (m + 1) for i in range(1, m + 1)], abs=1e-12)
-        assert math.fsum(r.area for r in chosen) == pytest.approx(m / (2 * (m + 1)), abs=1e-12)
-        for r in chosen:
-            assert r.y_hi == pytest.approx(r.x_lo, abs=1e-15)  # corner on the diagonal
+        assert math.fsum(area(r) for r in chosen) == pytest.approx(m / (2 * (m + 1)), abs=1e-12)
+        for x_lo, _, _, y_hi in chosen:
+            assert y_hi == pytest.approx(x_lo, abs=1e-15)  # corner on the diagonal
 
 
 def test_assemble_four_bits():
@@ -168,13 +174,13 @@ def test_assemble_four_bits():
 
 def test_self_similar_partition_one_level():
     part = self_similar_partition(0.25, 1)
-    r_star = next(r for r, lbl in part.cells if lbl == "p")
-    assert r_star.corner_key() == (0.25, 0.0, 1.0, 0.25)
-    a_square, b_square = sorted(part.residual, key=lambda r: r.corner_key())
-    assert a_square.area == pytest.approx(0.0625)
-    assert b_square.area == pytest.approx(0.5625)
+    r_star = part.cells[part.labels == "p"][0].tolist()
+    assert r_star == [0.25, 1.0, 0.0, 0.25]
+    a_square, b_square = sorted(part.residual.tolist())
+    assert area(a_square) == pytest.approx(0.0625)
+    assert area(b_square) == pytest.approx(0.5625)
     # conditional masses given the lower triangle: (v^2, 2v(1-v), (1-v)^2)
-    probs = (a_square.area, 2 * r_star.area, b_square.area)
+    probs = (area(a_square), 2 * area(r_star), area(b_square))
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
     assert probs[1] == pytest.approx(2 * 0.25 * 0.75, abs=1e-15)
     assert side_conditional_entropy(part, "p") == pytest.approx(
@@ -182,6 +188,26 @@ def test_self_similar_partition_one_level():
     )
     with pytest.raises(ValueError):
         self_similar_partition(1.5, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_grid_protocols_meet_the_four_bit_converse(n):
+    # Every grid protocol leaves the n diagonal cells, of total mass 1/n, to
+    # be finished at 4 bits each, so the paper implies H_n >= 4 - 4/n; bit
+    # exchange to depth k reaches it at n = 2^k.
+    h, cells = grid_protocol_min_entropy(n)
+    assert h >= 4 - 4 / n
+    if n & (n - 1) == 0:
+        assert h == sum_rate(bit_exchange_protocol(n.bit_length() - 1))
+    decided = [(row, label) for row, label in cells if label != "u"]
+    part = LabeledPartition(
+        [row for row, _ in decided],
+        [label for _, label in decided],
+        [row for row, label in cells if label == "u"],
+    )
+    assert abs(partition_entropy(part) - h) <= 1e-12
+    assert is_zero_error(part, TargetFunction.MIN_INDICATOR)
+    assert satisfies_staircase_bounds(part)
 
 
 def test_run_all_checks_passes():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from latcomm import (
     LabeledPartition,
@@ -30,6 +30,7 @@ from oracles import (
     random_zero_error_partition,
     staircase_bounds_by_subsets,
     tiling_error_by_sweep,
+    zero_error_by_cells,
 )
 
 MIN = TargetFunction.MIN_INDICATOR
@@ -38,12 +39,14 @@ QUAD = TargetFunction.QUADRANT
 
 def quarter_partition():
     return LabeledPartition(
-        (
-            (Rect(0.5, 1.0, 0.0, 0.5), "p"),
-            (Rect(0.0, 0.5, 0.5, 1.0), "q"),
-        ),
-        (Rect(0.0, 0.5, 0.0, 0.5), Rect(0.5, 1.0, 0.5, 1.0)),
+        [[0.5, 1.0, 0.0, 0.5], [0.0, 0.5, 0.5, 1.0]],
+        ["p", "q"],
+        [[0.0, 0.5, 0.0, 0.5], [0.5, 1.0, 0.5, 1.0]],
     )
+
+
+def all_rows(part):
+    return np.concatenate((part.cells, part.residual)).tolist()
 
 
 def test_rect_area_examples():
@@ -63,37 +66,29 @@ def test_rect_validation():
 
 def test_partition_entropy_examples():
     assert partition_entropy(quarter_partition()) == 2.0
-    cells = (
-        (Rect(0.5, 1.0, 0.0, 0.5), "p"),
-        (Rect(0.0, 0.5, 0.0, 1.0), "q"),
-        (Rect(0.5, 1.0, 0.5, 1.0), "q"),
-    )
-    assert partition_entropy(LabeledPartition(cells)) == 1.5
-    single = LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0), "q"),))
+    cells = [[0.5, 1.0, 0.0, 0.5], [0.0, 0.5, 0.0, 1.0], [0.5, 1.0, 0.5, 1.0]]
+    assert partition_entropy(LabeledPartition(cells, ["p", "q", "q"])) == 1.5
+    single = LabeledPartition([[0.0, 1.0, 0.0, 1.0]], ["q"])
     assert partition_entropy(single) == 0.0
 
 
 def test_partition_validation_rejects_overlap_and_bad_area():
     with pytest.raises(ValueError, match="overlap"):
-        LabeledPartition(
-            (
-                (Rect(0.0, 0.6, 0.0, 1.0), "q"),
-                (Rect(0.5, 0.9, 0.0, 1.0), "q"),
-            )
-        )
+        LabeledPartition([[0.0, 0.6, 0.0, 1.0], [0.5, 0.9, 0.0, 1.0]], ["q", "q"])
     with pytest.raises(ValueError, match="area"):
-        LabeledPartition(((Rect(0.0, 0.5, 0.0, 1.0), "q"),))
+        LabeledPartition([[0.0, 0.5, 0.0, 1.0]], ["q"])
     # A missing cell leaves a hole however small it is: here the ~1e-13 cell
     # at the origin of the depth-5 partition at v = 0.05.
     part = self_similar_partition(0.05, 5)
-    tiny = min(part.residual, key=lambda r: r.area)
-    assert tiny.area < 1e-12
+    areas = part.all_probs()[len(part.cells):]
+    tiny = int(np.argmin(areas))
+    assert areas[tiny] < 1e-12
     with pytest.raises(ValueError, match="area"):
-        LabeledPartition(part.cells, tuple(r for r in part.residual if r is not tiny))
+        LabeledPartition(part.cells, part.labels, np.delete(part.residual, tiny, axis=0))
     with pytest.raises(ValueError, match="unit square"):
-        LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0001), "q"),))
+        LabeledPartition([[0.0, 1.0, 0.0, 1.0001]], ["q"])
     with pytest.raises(ValueError, match="label"):
-        LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0), "x"),))
+        LabeledPartition([[0.0, 1.0, 0.0, 1.0]], ["x"])
 
 
 def test_area_message_gives_an_amount_below_the_smallest_double():
@@ -101,23 +96,23 @@ def test_area_message_gives_an_amount_below_the_smallest_double():
     # float; the message must still give its exact, negative amount.
     a = 0.978271166992193
     with pytest.raises(ValueError, match="area differs from 1 by") as info:
-        LabeledPartition(((Rect(0.0, a, 0.0, 1.0), "q"), (Rect(a, 1.0, 5e-324, 1.0), "q")))
+        LabeledPartition([[0.0, a, 0.0, 1.0], [a, 1.0, 5e-324, 1.0]], ["q", "q"])
     amount = re.search(r"by (-?\d+)\*2\*\*(-?\d+)$", str(info.value))
     assert amount is not None, str(info.value)
     exact = Fraction(a) + (1 - Fraction(a)) * (1 - Fraction(5e-324)) - 1
     assert Fraction(int(amount[1])) * Fraction(2) ** int(amount[2]) == exact < 0
     with pytest.raises(ValueError, match=r"area differs from 1 by -0\.5$"):
-        LabeledPartition(((Rect(0.0, 0.5, 0.0, 1.0), "q"),))
+        LabeledPartition([[0.0, 0.5, 0.0, 1.0]], ["q"])
 
 
 def test_overlap_message_names_an_uncancelled_corner():
     with pytest.raises(ValueError, match=r"overlap: .* at \(0\.5, 0\.0\)$"):
-        LabeledPartition(((Rect(0.0, 0.6, 0.0, 1.0), "q"), (Rect(0.5, 0.9, 0.0, 1.0), "q")))
+        LabeledPartition([[0.0, 0.6, 0.0, 1.0], [0.5, 0.9, 0.0, 1.0]], ["q", "q"])
 
 
-def _error_class(cells, residual):
+def _error_class(cells, labels, residual):
     try:
-        LabeledPartition(cells, residual)
+        LabeledPartition(cells, labels, residual)
     except ValueError as exc:
         msg = str(exc)
         return next(c for c in ("unit square", "area", "overlap") if c in msg)
@@ -186,15 +181,11 @@ def _mutate(rows, mutation, draw):
 @given(guillotine_partitions(), st.sampled_from(_TILING_MUTATIONS), st.data())
 def test_tiling_check_agrees_with_sweep_oracle(rows, mutation, data):
     rows = _mutate(rows, mutation, data.draw)
-    try:
-        rects = [Rect(*r) for r in rows]
-    except ValueError:
-        assume(False)
-    split = data.draw(st.integers(0, len(rects)))
-    cells = tuple((r, "pq"[j % 2]) for j, r in enumerate(rects[:split]))
-    expected = tiling_error_by_sweep(rects)
+    split = data.draw(st.integers(0, len(rows)))
+    labels = ["pq"[j % 2] for j in range(split)]
+    expected = tiling_error_by_sweep(rows)
     event(f"{mutation}: {expected}")
-    assert _error_class(cells, tuple(rects[split:])) == expected
+    assert _error_class(rows[:split], labels, rows[split:]) == expected
     if mutation == "none":
         assert expected is None
 
@@ -210,14 +201,13 @@ def test_each_tiling_mutation_gives_its_error_class(mutation, expected):
     # The draws pick the cell [0, 1/2] x [1/2, 1], then the mutation's details:
     # shift it up by 1/2, move its left edge to 5e-324, or move it down by 1/4.
     part = induced_partition(bit_exchange_protocol(3))
-    rows = [r.as_list() for r in [r for r, _ in part.cells] + list(part.residual)]
+    rows = all_rows(part)
     i = rows.index([0.0, 0.5, 0.5, 1.0])
     details = {"shift": [0.0, 0.5], "tiny edge": [(i, 0)], "grow": [2, 1]}
     draws = iter([i] + details.get(mutation, []))
     rows = _mutate(rows, mutation, lambda strategy: next(draws))
-    rects = [Rect(*r) for r in rows]
-    assert tiling_error_by_sweep(rects) == expected
-    assert _error_class(tuple((r, "q") for r in rects), ()) == expected
+    assert tiling_error_by_sweep(rows) == expected
+    assert _error_class(rows, ["q"] * len(rows), ()) == expected
 
 
 def test_constructed_partitions_pass_the_sweep_oracle():
@@ -226,26 +216,67 @@ def test_constructed_partitions_pass_the_sweep_oracle():
         parts.append(induced_partition(bit_exchange_protocol(d)))
         parts += [self_similar_partition(v, d) for v in (0.3, 0.5, 0.7)]
     for part in parts:
-        assert tiling_error_by_sweep([r for r, _ in part.cells] + list(part.residual)) is None
+        assert tiling_error_by_sweep(all_rows(part)) is None
 
 
 def test_partition_json_round_trip():
     part = quarter_partition()
     again = LabeledPartition.from_json(part.to_json())
-    assert again == part
+    assert np.array_equal(again.cells, part.cells)
+    assert np.array_equal(again.labels, part.labels)
+    assert np.array_equal(again.residual, part.residual)
     assert again.to_json() == part.to_json()
+
+
+@pytest.mark.parametrize(
+    "cells, labels, residual",
+    [
+        ([[0.0, 1.0, 0.0, 1.0], [0.5, math.nan, 0.0, 0.5]], ["q", "q"], ()),
+        ([[0.0, 1.0, 0.0, 1.0]], ["q"], [[0.5, 0.5, 0.0, 1.0]]),
+        # The reversed copy's corner weights, and its negative area, cancel
+        # those of the cell it mirrors: only the bounds mask sees it.
+        ([[0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]], ["q", "q", "p"], ()),
+    ],
+    ids=["nan", "zero-width", "reversed-copy"],
+)
+def test_constructor_rejects_rows_that_are_not_cells(cells, labels, residual):
+    with pytest.raises(ValueError, match="not a nonempty rectangle in the unit square"):
+        LabeledPartition(cells, labels, residual)
+
+
+def test_partition_arrays_are_read_only():
+    part = quarter_partition()
+    for array in (part.cells, part.labels, part.residual):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    # The constructor copies, so the caller's array stays writable.
+    rows = np.array([[0.0, 1.0, 0.0, 1.0]])
+    LabeledPartition(rows, ["q"])
+    rows[0, 0] = 0.5
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.one_of(st.none(), _SEEDS), st.sampled_from(TargetFunction))
+def test_is_zero_error_matches_cell_by_cell_oracle(seed, flip_seed, f):
+    part = random_zero_error_partition(np.random.default_rng(seed))
+    if flip_seed is not None:
+        flip = np.random.default_rng(flip_seed).random(len(part.cells)) < 0.2
+        labels = np.where(flip, np.where(part.labels == "p", "q", "p"), part.labels)
+        part = LabeledPartition(part.cells, labels, part.residual)
+    expected = zero_error_by_cells(part, f)
+    event(f"{f.name}, flipped={flip_seed is not None}: {expected}")
+    assert is_zero_error(part, f) is expected
 
 
 def test_is_zero_error_examples():
     assert is_zero_error(quarter_partition(), MIN)
-    whole = LabeledPartition(((Rect(0.0, 1.0, 0.0, 1.0), "p"),))
+    whole = LabeledPartition([[0.0, 1.0, 0.0, 1.0]], ["p"])
     assert not is_zero_error(whole, MIN)
     quad = LabeledPartition(
-        (
-            (Rect(0.5, 1.0, 0.5, 1.0), "p"),
-            (Rect(0.0, 0.5, 0.0, 1.0), "q"),
-            (Rect(0.5, 1.0, 0.0, 0.5), "q"),
-        )
+        [[0.5, 1.0, 0.5, 1.0], [0.0, 0.5, 0.0, 1.0], [0.5, 1.0, 0.0, 0.5]], ["p", "q", "q"]
     )
     assert is_zero_error(quad, QUAD)
     assert not is_zero_error(whole, QUAD)
@@ -279,28 +310,23 @@ def test_schur_concavity_bulk():
 def test_readjust_fixed_point():
     part = quarter_partition()
     out = readjust_max_rectangle(part)
-    assert sorted(r.corner_key() for r, _ in out.cells) == sorted(
-        r.corner_key() for r, _ in part.cells
-    )
+    assert sorted(out.cells.tolist()) == sorted(part.cells.tolist())
 
 
 def test_readjust_grows_to_corner_rectangle():
     # Max p-cell [0.6,0.9]x[0.1,0.4] grows to [0.4,1]x[0,0.4]; the smaller
     # p-cell below it is clipped to its part left of the grown rectangle.
-    cells = (
-        (Rect(0.6, 0.9, 0.1, 0.4), "p"),
-        (Rect(0.2, 0.7, 0.0, 0.1), "p"),
-    )
-    residual = (Rect(0.0, 0.2, 0.0, 1.0), Rect(0.2, 1.0, 0.4, 1.0),
-                Rect(0.2, 0.6, 0.1, 0.4), Rect(0.9, 1.0, 0.1, 0.4),
-                Rect(0.7, 1.0, 0.0, 0.1))
+    cells = [[0.6, 0.9, 0.1, 0.4], [0.2, 0.7, 0.0, 0.1]]
+    residual = [[0.0, 0.2, 0.0, 1.0], [0.2, 1.0, 0.4, 1.0],
+                [0.2, 0.6, 0.1, 0.4], [0.9, 1.0, 0.1, 0.4],
+                [0.7, 1.0, 0.0, 0.1]]
     # residual here is only padding to make a full partition; zero-error
     # checks look at the labeled cells.
-    part = LabeledPartition(cells, residual)
+    part = LabeledPartition(cells, ["p", "p"], residual)
     out = readjust_max_rectangle(part)
-    p_rects = sorted((r.corner_key() for r, lbl in out.cells if lbl == "p"))
-    assert p_rects[0] == (0.2, 0.0, 0.4, 0.1)
-    assert p_rects[1] == (0.4, 0.0, 1.0, 0.4)
+    p_rects = sorted(out.cells[out.labels == "p"].tolist())
+    assert p_rects[0] == [0.2, 0.4, 0.0, 0.1]
+    assert p_rects[1] == [0.4, 1.0, 0.0, 0.4]
     assert is_zero_error(out, MIN)
     assert abs(math.fsum(out.all_probs()) - 1.0) < 1e-12
 
@@ -320,19 +346,20 @@ def test_readjust_cuts_a_straddling_residual_square_in_two():
     # [0.4, 0.6]^2 into a left and a top piece: 8 cells become 9, and the
     # 8-cell prefix sum drops from 1.0 to 0.99, so majorization fails.
     part = LabeledPartition(
-        (
-            (Rect(0.6, 1.0, 0.0, 0.5), "p"),
-            (Rect(0.4, 0.6, 0.0, 0.4), "p"),
-            (Rect(0.6, 1.0, 0.5, 0.6), "p"),
-            (Rect(0.0, 0.4, 0.4, 1.0), "q"),
-            (Rect(0.4, 0.6, 0.6, 1.0), "q"),
-        ),
-        (Rect(0.0, 0.4, 0.0, 0.4), Rect(0.4, 0.6, 0.4, 0.6), Rect(0.6, 1.0, 0.6, 1.0)),
+        [
+            [0.6, 1.0, 0.0, 0.5],
+            [0.4, 0.6, 0.0, 0.4],
+            [0.6, 1.0, 0.5, 0.6],
+            [0.0, 0.4, 0.4, 1.0],
+            [0.4, 0.6, 0.6, 1.0],
+        ],
+        ["p", "p", "p", "q", "q"],
+        [[0.0, 0.4, 0.0, 0.4], [0.4, 0.6, 0.4, 0.6], [0.6, 1.0, 0.6, 1.0]],
     )
     out = readjust_max_rectangle(part)
-    assert (Rect(0.5, 1.0, 0.0, 0.5), "p") in out.cells
-    assert Rect(0.4, 0.5, 0.4, 0.6) in out.residual
-    assert Rect(0.5, 0.6, 0.5, 0.6) in out.residual
+    assert [0.5, 1.0, 0.0, 0.5] in out.cells[out.labels == "p"].tolist()
+    assert [0.4, 0.5, 0.4, 0.6] in out.residual.tolist()
+    assert [0.5, 0.6, 0.5, 0.6] in out.residual.tolist()
     assert len(out.all_probs()) == 9
     assert abs(math.fsum(sorted(out.all_probs(), reverse=True)[:8]) - 0.99) < 1e-12
     assert not majorizes(out.all_probs(), part.all_probs())
@@ -439,11 +466,9 @@ def test_satisfies_staircase_bounds_examples():
     # single p-cell of probability 0.3 > 1/4 fails the m=1 bound even though
     # the two sides carry equal mass
     bad = LabeledPartition(
-        (
-            (Rect(0.5, 1.0, 0.0, 0.6), "p"),
-            (Rect(0.0, 0.5, 0.4, 1.0), "q"),
-        ),
-        (Rect(0.0, 0.5, 0.0, 0.4), Rect(0.5, 1.0, 0.6, 1.0)),
+        [[0.5, 1.0, 0.0, 0.6], [0.0, 0.5, 0.4, 1.0]],
+        ["p", "q"],
+        [[0.0, 0.5, 0.0, 0.4], [0.5, 1.0, 0.6, 1.0]],
     )
     assert not satisfies_staircase_bounds(bad)
 
@@ -464,10 +489,10 @@ def strip_partition(widths):
     cells = []
     x = 0.0
     for w in widths:
-        cells.append((Rect(x, x + w, 0.0, 0.5), "p"))
-        cells.append((Rect(x, x + w, 0.5, 1.0), "q"))
+        cells.append([x, x + w, 0.0, 0.5])
+        cells.append([x, x + w, 0.5, 1.0])
         x += w
-    return LabeledPartition(tuple(cells), (Rect(x, 1.0, 0.0, 1.0),))
+    return LabeledPartition(cells, ["p", "q"] * len(widths), [[x, 1.0, 0.0, 1.0]])
 
 
 def test_staircase_bounds_match_exact_subset_oracle():

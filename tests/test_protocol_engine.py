@@ -83,14 +83,14 @@ def test_first_bits_differ_means_two_messages():
 
 def test_induced_partition_depth1():
     part = induced_partition(bit_exchange_protocol(1))
-    decided = sorted((r.corner_key(), lbl) for r, lbl in part.cells)
+    decided = sorted(zip(part.cells.tolist(), part.labels.tolist()))
     assert decided == [
-        ((0.0, 0.5, 0.5, 1.0), "q"),
-        ((0.5, 0.0, 1.0, 0.5), "p"),
+        ([0.0, 0.5, 0.5, 1.0], "q"),
+        ([0.5, 1.0, 0.0, 0.5], "p"),
     ]
-    assert sorted(r.corner_key() for r in part.residual) == [
-        (0.0, 0.0, 0.5, 0.5),
-        (0.5, 0.5, 1.0, 1.0),
+    assert sorted(part.residual.tolist()) == [
+        [0.0, 0.5, 0.0, 0.5],
+        [0.5, 1.0, 0.5, 1.0],
     ]
     assert partition_entropy(part) == 2.0
 
@@ -115,10 +115,12 @@ def test_leaf_level_probabilities():
     # 2^d undecided leaves of probability 4^-d at the cap.
     d = 6
     part = induced_partition(bit_exchange_protocol(d))
+    areas = part.all_probs()
+    decided, undecided = areas[:len(part.cells)], areas[len(part.cells):]
     for k in range(1, d + 1):
-        decided_k = [r for r, _ in part.cells if abs(r.area - 4.0**-k) < 1e-15]
+        decided_k = [a for a in decided if abs(a - 4.0**-k) < 1e-15]
         assert len(decided_k) == 2**k
-    assert all(abs(r.area - 4.0**-d) < 1e-15 for r in part.residual)
+    assert all(abs(a - 4.0**-d) < 1e-15 for a in undecided)
     assert len(part.residual) == 2**d
 
 
