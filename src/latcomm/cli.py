@@ -3,15 +3,17 @@
 :func:`build_parser` holds every option with its default and choices.  The
 parser is built once per process, on the first call, and every :func:`main`
 call shares it: ``parse_args`` leaves the parser unchanged and returns a
-fresh namespace.  :func:`main` parses the command line, rejects
-``--format csv`` for a subcommand without a table, runs the subcommand on
-the parsed namespace, renders and writes.  Outputs are deterministic for
-fixed options and seed: JSON bodies are the results map with sorted keys,
-floats serialized by shortest round-trip repr; CSV always carries a header
-row; the human format lists the parsed options as ``in`` lines before the
-results.  Elapsed time never reaches stdout, so repeated runs are
-byte-identical.  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error.
+fresh namespace.  Each subcommand is declared once, in :func:`_new_parser`,
+with its runner, its inputs and the formats it can write: only ``simulate``
+and ``lattice-rates`` draw random inputs and take ``--seed``, and only the
+four commands with a table offer ``--format csv``.  :func:`main` parses the
+command line, runs the subcommand on the parsed namespace, renders and
+writes.  Outputs are deterministic for fixed options and seed: JSON bodies
+are the results map with sorted keys, floats serialized by shortest
+round-trip repr; CSV always carries a header row; the human format lists the
+parsed options as ``in`` lines before the results.  Elapsed time never
+reaches stdout, so repeated runs are byte-identical.  Exit codes: 0 success,
+1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -32,11 +34,8 @@ __all__ = ["DEFAULT_SEED", "emit_plot_data", "main"]
 
 DEFAULT_SEED = 0x5EED
 
-# Subcommands whose report has a CSV table.
-_CSV_SUBCOMMANDS = ("simulate", "lattice-rates", "entropy-ratio", "plot-data")
-
-# Namespace attributes that select the output, not the computation.
-_OUTPUT_OPTIONS = ("subcommand", "format", "json", "out")
+# Namespace attributes that select the runner or the output, not the computation.
+_OUTPUT_OPTIONS = ("subcommand", "run", "format", "out")
 
 # argparse's default matcher misses exponent notation, so "--y -4.69e-05"
 # would read the value as an unknown option.
@@ -158,8 +157,6 @@ def _run_optimize_ratio(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _run_partition_show(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    if sum(s is not None for s in (args.infile, args.v, args.protocol)) != 1:
-        raise ValueError("choose exactly one of --in, --v, --protocol")
     if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             part = LabeledPartition.from_json(fh.read())
@@ -179,24 +176,12 @@ def _run_plot_data(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     return {"which": args.which, "rows": csv_text.count("\n") - 1}, csv_text
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "lattice-rates": _run_lattice_rates,
-    "lattice-nearest": _run_lattice_nearest,
-    "entropy-ratio": _run_entropy_ratio,
-    "optimize-ratio": _run_optimize_ratio,
-    "partition-show": _run_partition_show,
-    "verify": _run_verify,
-    "plot-data": _run_plot_data,
-}
-
-
-def render(args: argparse.Namespace, fmt: str, results: dict, csv_text: Optional[str]) -> str:
+def render(args: argparse.Namespace, results: dict, csv_text: Optional[str]) -> str:
     """Output text of a run; the human format lists the parsed options first."""
-    if fmt == "csv":
+    if args.format == "csv":
         return csv_text
     body = json.dumps(results, sort_keys=True, indent=2)
-    if fmt == "json":
+    if args.format == "json":
         return body + "\n"
     lines = [args.subcommand]
     for key, value in sorted(vars(args).items()):
@@ -224,76 +209,76 @@ def _new_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name, run, help, seeded=False, table=False) -> argparse.ArgumentParser:
+        """A subcommand parser with the options every command shares."""
+        p = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-        p.add_argument("--json", action="store_true", help="shorthand for --format json")
+        p.set_defaults(run=run)
+        if seeded:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        formats = ("json", "csv", "human") if table else ("json", "human")
+        p.add_argument("--format", choices=formats, default="human")
+        p.add_argument("--json", action="store_const", dest="format", const="json",
+                       help="shorthand for --format json")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
+        return p
 
-    p = sub.add_parser("simulate", help="Monte Carlo protocol statistics")
+    p = command("simulate", _run_simulate, "Monte Carlo protocol statistics",
+                seeded=True, table=True)
     p.add_argument("--protocol", choices=("bit-exchange",), default="bit-exchange")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--max-depth", type=int, default=30, dest="max_depth")
     p.add_argument("--transcripts", type=str, default=None,
                    help="dump one comma-separated transcript per run to this file")
-    add_common(p)
 
-    p = sub.add_parser("lattice-rates", help="two-round refinement statistics")
+    p = command("lattice-rates", _run_lattice_rates, "two-round refinement statistics",
+                seeded=True, table=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta", type=float, required=True, help="radians in (0, pi/2]")
     p.add_argument("--samples", type=int, default=0,
                    help="optional Monte Carlo round-count sample size")
-    add_common(p)
 
-    p = sub.add_parser("lattice-nearest", help="Babai and exact nearest points")
+    p = command("lattice-nearest", _run_lattice_nearest, "Babai and exact nearest points")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    add_common(p)
 
-    p = sub.add_parser("entropy-ratio", help="conditional entropy ratio at v")
+    p = command("entropy-ratio", _run_entropy_ratio, "conditional entropy ratio at v",
+                table=True)
     p.add_argument("--v", type=float, required=True)
-    add_common(p)
 
-    p = sub.add_parser("optimize-ratio", help="golden-section ratio minimization")
+    p = command("optimize-ratio", _run_optimize_ratio, "golden-section ratio minimization")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    add_common(p)
 
-    p = sub.add_parser("partition-show", help="emit or round-trip a partition")
-    p.add_argument("--protocol", choices=("bit-exchange",), default=None)
-    p.add_argument("--v", type=float, default=None)
+    p = command("partition-show", _run_partition_show, "emit or round-trip a partition")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--protocol", choices=("bit-exchange",))
+    source.add_argument("--v", type=float)
+    source.add_argument("--in", type=str, dest="infile")
     p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
-    p.add_argument("--in", type=str, default=None, dest="infile")
-    add_common(p)
 
-    p = sub.add_parser("verify", help="run the verification checks")
+    p = command("verify", _run_verify, "run the verification checks")
     p.add_argument("target", choices=("converse",))
     p.add_argument("--all", action="store_true",
                    help="include the exhaustive grid-search oracle")
-    add_common(p)
 
-    p = sub.add_parser("plot-data", help="plot-ready CSV tables")
+    p = command("plot-data", _run_plot_data, "plot-ready CSV tables", table=True)
     p.add_argument("--which", choices=("ratio-curve", "convergence", "subdivision"),
                    required=True)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
-    add_common(p)
     p.set_defaults(format="csv")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = "json" if args.json else args.format
     start = time.perf_counter()
     try:
-        if fmt == "csv" and args.subcommand not in _CSV_SUBCOMMANDS:
-            raise ValueError(f"csv output is not defined for {args.subcommand!r}")
-        results, csv_text = _RUNNERS[args.subcommand](args)
-        text = render(args, fmt, results, csv_text)
+        results, csv_text = args.run(args)
+        text = render(args, results, csv_text)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -313,6 +313,12 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     m = 0.5 * min(c, 1.0 - c)
     y_c = (lat.rho * lat.rho - c) / (2.0 * h)
     top = h / 2.0
+    # The crossed rows are c(1-c)/(2h) tall; for a very tall cell y_c rounds onto h/2.
+    if not y_c < top:
+        raise UnsupportedGeometryError(
+            f"rho = {lat.rho!r}, theta = {lat.theta!r}: the crossed rows of the Babai cell"
+            " are too thin for double precision"
+        )
 
     seg_ur = Segment(Point2(c / 2.0, top), Point2(0.5, y_c))
     seg_ul = Segment(Point2(-0.5, y_c), Point2(-(1.0 - c) / 2.0, top))

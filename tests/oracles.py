@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -258,23 +259,48 @@ def zero_error_by_cells(part: LabeledPartition, f: TargetFunction) -> bool:
     return True
 
 
-def grid_protocol_min_entropy(n: int) -> tuple[float, list[tuple[tuple[float, ...], str]]]:
+def entropy_ratio_by_decimal(v: float) -> float:
+    """H([v^2, 2v(1-v), (1-v)^2]) / (2v(1-v)) in bits, from the three cell masses.
+
+    Works in 400-digit decimal arithmetic, in which 1 - v keeps every digit
+    of v that matters down to v = 2^-1074.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        x = Decimal(v)
+        w = 1 - x
+        h = -sum(m * m.ln() for m in (x * x, 2 * x * w, w * w))
+        return float(h / (2 * x * w * Decimal(2).ln()))
+
+
+def grid_protocol_min_entropy(
+    n: int, target: TargetFunction = TargetFunction.MIN_INDICATOR
+) -> tuple[float, list[tuple[tuple[float, ...], str]]]:
     """Least partition entropy of an interval-message protocol on the n x n grid.
 
     A grid protocol cuts the current rectangle of grid cells along either
-    axis until each piece is decided: it lies wholly on one side of
-    x1 = x2 (label "p" below the diagonal, "q" above), or it is one
-    diagonal grid cell, which stays residual (label "u").  A leaf of area a
-    costs -a log2 a, so the minimum over all protocols is a dynamic program
-    over the sub-rectangles [a, b) x [c, d) of grid indices.  Returns the
-    minimum and one argmin's cells as ((x_lo, x_hi, y_lo, y_hi), label).
+    axis until each piece is decided for ``target``, or is one undecided
+    grid cell, which stays residual (label "u").  For the ordering a piece
+    is decided when it lies wholly on one side of x1 = x2 (label "p" below
+    the diagonal, "q" above); for the quadrant, when it lies wholly inside
+    the upper-right quadrant (label "p") or wholly outside it (label "q").
+    A leaf of area a costs -a log2 a, so the minimum over all protocols is a
+    dynamic program over the sub-rectangles [a, b) x [c, d) of grid indices.
+    Returns the minimum and one argmin's cells as
+    ((x_lo, x_hi, y_lo, y_hi), label).
     """
 
     def leaf_label(a: int, b: int, c: int, d: int) -> str | None:
-        if d <= a:
-            return "p"
-        if b <= c:
-            return "q"
+        if target is TargetFunction.MIN_INDICATOR:
+            if d <= a:
+                return "p"
+            if b <= c:
+                return "q"
+        else:
+            if 2 * a >= n and 2 * c >= n:
+                return "p"
+            if 2 * b <= n or 2 * d <= n:
+                return "q"
         if b - a == 1 and d - c == 1:
             return "u"
         return None
@@ -303,6 +329,45 @@ def grid_protocol_min_entropy(n: int) -> tuple[float, list[tuple[tuple[float, ..
 
     collect(0, n, 0, n)
     return best(0, n, 0, n)[0], cells
+
+
+def grid_set_protocol_min_entropy(n: int) -> float:
+    """:func:`grid_protocol_min_entropy` for the ordering, over set messages.
+
+    Here a message splits the current set of grid indices of either party
+    into any two nonempty parts, not just two intervals.  A state is a pair
+    of bitmasks (X, Y); it is decided when max(Y) < min(X) ("p") or
+    max(X) < min(Y) ("q"), and a single diagonal cell {i} x {i} stays
+    residual.  Each split keeps the lowest index of the part being split in
+    its first part, so no split is counted twice.
+    """
+
+    def splits(mask: int):
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        while True:
+            if sub != rest:
+                yield low | sub, rest ^ sub
+            if sub == 0:
+                return
+            sub = (sub - 1) & rest
+
+    @lru_cache(maxsize=None)
+    def best(xs: int, ys: int) -> float:
+        if (
+            ys.bit_length() <= (xs & -xs).bit_length() - 1
+            or xs.bit_length() <= (ys & -ys).bit_length() - 1
+            or xs == ys and xs & (xs - 1) == 0
+        ):
+            area = bin(xs).count("1") * bin(ys).count("1") / (n * n)
+            return -area * math.log2(area)
+        options = [best(a, ys) + best(b, ys) for a, b in splits(xs)]
+        options += [best(xs, a) + best(xs, b) for a, b in splits(ys)]
+        return min(options)
+
+    full = (1 << n) - 1
+    return best(full, full)
 
 
 def random_superbase_lattice(rng: np.random.Generator) -> Lattice2D:

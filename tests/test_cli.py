@@ -183,8 +183,11 @@ def test_partition_show_self_similar(capsys):
 
 
 def test_partition_show_requires_one_source(capsys):
-    code, _, err = run_cli(capsys, "partition-show")
-    assert code == 2 and "exactly one" in err
+    for sources in ((), ("--v", "0.3", "--protocol", "bit-exchange")):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition-show", *sources])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_plot_data_ratio_curve(capsys):
@@ -238,6 +241,18 @@ def test_lattice_rates_rejects_negative_samples(capsys):
     code, out, err = run_cli(capsys, "lattice-rates", "--rho", "1", "--theta", "1.0",
                              "--samples", "-5")
     assert (code, out, err) == (2, "", "error: samples must be >= 1\n")
+
+
+@pytest.mark.parametrize("rho, theta", [
+    ("157851556.49016285", "1.5707963221965726"),
+    ("141222.2698497264", "1.5707963267937057"),
+])
+def test_lattice_rates_names_a_cell_too_tall_for_doubles(capsys, rho, theta):
+    # The crossed rows are c(1-c)/(2h) tall, below the spacing of doubles near h/2.
+    code, out, err = run_cli(capsys, "lattice-rates", "--rho", rho, "--theta", theta)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: rho = {rho}, theta = {theta}: ")
+    assert "degenerate" not in err
 
 
 def test_lattice_rates_without_samples_has_no_monte_carlo(capsys):
@@ -318,7 +333,7 @@ def test_human_inputs_come_from_this_run_only(capsys):
     code, out, _ = run_cli(capsys, "entropy-ratio", "--v", "0.3")
     assert code == 0
     inputs = [line for line in out.splitlines() if line.startswith("  in  ")]
-    assert inputs == [f"  in  seed = {DEFAULT_SEED}", "  in  v = 0.3"]
+    assert inputs == ["  in  v = 0.3"]
 
 
 def test_dispatch_reports_inputs_and_elapsed(capsys):
@@ -326,7 +341,7 @@ def test_dispatch_reports_inputs_and_elapsed(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "  in  v = 0.5" in lines
-    assert f"  in  seed = {DEFAULT_SEED}" in lines
+    assert not any(line.startswith("  in  seed") for line in lines)
     assert err.startswith("elapsed: ")
 
 
@@ -344,10 +359,41 @@ def test_csv_without_a_table_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("the format must be rejected before dispatch")
 
     monkeypatch.setattr(cli_module.conv, "run_all_checks", must_not_run)
-    code, out, err = run_cli(capsys, *argv, "--format", "csv")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: csv output is not defined")
+    assert "invalid choice: 'csv'" in err
+
+
+# Every subcommand except the two that draw random inputs.
+_UNSEEDED = [
+    ("verify", "converse"),
+    ("entropy-ratio", "--v", "0.3"),
+    ("optimize-ratio",),
+    ("partition-show", "--v", "0.3"),
+    ("lattice-nearest", "--rho", "1", "--theta", "1.2", "--x", "0.1", "--y", "0.2"),
+    ("plot-data", "--which", "ratio-curve"),
+]
+
+
+@pytest.mark.parametrize("argv", _UNSEEDED, ids=lambda argv: argv[0])
+def test_seed_is_rejected_where_nothing_is_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --seed 7" in err
+
+
+def test_the_later_of_json_and_format_wins(capsys):
+    argv = ("entropy-ratio", "--v", "0.5")
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv", "--json")
+    assert out == '{\n  "ratio_bits": 3.0,\n  "v": 0.5\n}\n'
+    _, out, _ = run_cli(capsys, *argv, "--json", "--format", "human")
+    assert out == run_cli(capsys, *argv)[1] and out.startswith("entropy-ratio\n")
 
 
 @pytest.mark.parametrize("value", ["-4.69e-05", "-1E+2", "-.5e1", "-3.", "-7"])
@@ -545,25 +591,33 @@ def test_plot_data_convergence_default_resolution(capsys):
         assert abs(float(value) - closed_form_truncated_bits(int(d))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("simulate",),
-        ("lattice-rates", "--rho", "1", "--theta", "1.0"),
-        ("lattice-nearest", "--rho", "1", "--theta", "1.0", "--x", "0.1", "--y", "0.2"),
-        ("entropy-ratio", "--v", "0.3"),
-        ("optimize-ratio",),
-        ("partition-show", "--v", "0.3"),
-        ("partition-show", "--protocol", "bit-exchange"),
-        ("verify", "converse"),
-        ("plot-data", "--which", "ratio-curve"),
-        ("plot-data", "--which", "convergence"),
-        ("plot-data", "--which", "subdivision", "--rho", "1", "--theta", "1.0"),
-    ],
-)
+_DEFAULT_RUNS = [
+    ("simulate",),
+    ("lattice-rates", "--rho", "1", "--theta", "1.0"),
+    ("lattice-nearest", "--rho", "1", "--theta", "1.0", "--x", "0.1", "--y", "0.2"),
+    ("entropy-ratio", "--v", "0.3"),
+    ("optimize-ratio",),
+    ("partition-show", "--v", "0.3"),
+    ("partition-show", "--protocol", "bit-exchange"),
+    ("verify", "converse"),
+    ("plot-data", "--which", "ratio-curve"),
+    ("plot-data", "--which", "convergence"),
+    ("plot-data", "--which", "subdivision", "--rho", "1", "--theta", "1.0"),
+]
+
+
+@pytest.mark.parametrize("argv", _DEFAULT_RUNS)
 def test_every_subcommand_runs_at_its_parser_defaults(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", _DEFAULT_RUNS)
+def test_json_flag_is_format_json(capsys, argv):
+    code, flag, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--format", "json")[:2] == (0, flag)
+    json.loads(flag)
 
 
 @pytest.mark.parametrize("depth", ["0", "51"])

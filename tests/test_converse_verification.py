@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,12 @@ from latcomm import (
     satisfies_staircase_bounds,
 )
 
-from oracles import closed_form_truncated_bits, grid_protocol_min_entropy
+from oracles import (
+    closed_form_truncated_bits,
+    entropy_ratio_by_decimal,
+    grid_protocol_min_entropy,
+    grid_set_protocol_min_entropy,
+)
 
 
 def area(row):
@@ -69,6 +75,22 @@ def test_entropy_ratio_values():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             entropy_ratio(bad)
+
+
+def _log_uniform_v(count: int) -> list[float]:
+    rng = random.Random(20170)
+    return [2.0 ** rng.uniform(-1074.0, -1.0) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "v",
+    [5e-324, 2.0**-60, 1e-16, 0.3, 0.5] + [i / 16 for i in range(1, 8)] + _log_uniform_v(100),
+)
+def test_entropy_ratio_matches_decimal_oracle(v):
+    # Also at 1 - v, once that is a double other than 1.
+    for u in (v, 1.0 - v) if v >= 2.0**-53 else (v,):
+        expected = entropy_ratio_by_decimal(u)
+        assert abs(entropy_ratio(u) - expected) <= 4 * math.ulp(expected), u
 
 
 @settings(max_examples=200)
@@ -208,6 +230,23 @@ def test_grid_protocols_meet_the_four_bit_converse(n):
     assert abs(partition_entropy(part) - h) <= 1e-12
     assert is_zero_error(part, TargetFunction.MIN_INDICATOR)
     assert satisfies_staircase_bounds(part)
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_grid_protocols_meet_the_quadrant_minimum(n):
+    # Example 1 over protocols: no grid protocol for the quadrant beats the
+    # polytope minimum of 3/2 bits, and the three-cell one reaches it.
+    h, cells = grid_protocol_min_entropy(n, TargetFunction.QUADRANT)
+    assert h == 1.5
+    assert all(label != "u" for _, label in cells)
+    part = LabeledPartition([row for row, _ in cells], [label for _, label in cells], [])
+    assert partition_entropy(part) == 1.5
+    assert is_zero_error(part, TargetFunction.QUADRANT)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_set_messages_do_no_better_than_intervals(n):
+    assert grid_set_protocol_min_entropy(n) == grid_protocol_min_entropy(n)[0]
 
 
 def test_run_all_checks_passes():
