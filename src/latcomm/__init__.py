@@ -9,7 +9,6 @@ verification suite showing the four-bit total is optimal.
 
 from .partition_core import (
     LabeledPartition,
-    Rect,
     TargetFunction,
     entropy_bits,
     is_zero_error,
@@ -27,7 +26,6 @@ from .lattice_geometry import (
     Lattice2D,
     Point2,
     RoundRates,
-    Segment,
     SubdivisionCell,
     UnsupportedGeometryError,
     babai_cell,

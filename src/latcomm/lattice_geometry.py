@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .partition_core import Rect, entropy_bits
+from .partition_core import entropy_bits
 from .protocol_engine import _stopping_rounds, sample_inputs
 
 __all__ = [
     "Lattice2D",
     "Point2",
-    "Segment",
     "ConvexPolygon",
     "SubdivisionCell",
     "BabaiSubdivision",
@@ -49,6 +48,9 @@ __all__ = [
 
 _GEOM_TOL = 1e-12
 _AREA_TOL = 1e-9
+# Largest magnitude allowed into the float arithmetic of a nearest-point
+# search; nearest_lattice_point derives it from the 1e-9 geometry tolerance.
+_MAX_TERM = 2.0**18
 
 
 class UnsupportedGeometryError(ValueError):
@@ -58,11 +60,6 @@ class UnsupportedGeometryError(ValueError):
 class Point2(NamedTuple):
     x1: float
     x2: float
-
-
-class Segment(NamedTuple):
-    a: Point2
-    b: Point2
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,15 @@ class Lattice2D:
         return Point2(n1 + n2 * self.c, n2 * self.h)
 
 
-def babai_cell(lat: Lattice2D) -> Rect:
-    """Nearest-plane cell of the origin: [-1/2, 1/2] x [-h/2, h/2]."""
+def babai_cell(lat: Lattice2D) -> tuple[float, float, float, float]:
+    """Nearest-plane cell of the origin, as the row (-1/2, 1/2, -h/2, h/2)."""
     half_h = lat.h / 2.0
-    return Rect(-0.5, 0.5, -half_h, half_h)
+    return (-0.5, 0.5, -half_h, half_h)
+
+
+def _area(row: tuple[float, float, float, float]) -> float:
+    x_lo, x_hi, y_lo, y_hi = row
+    return (x_hi - x_lo) * (y_hi - y_lo)
 
 
 def nearest_plane_point(
@@ -109,19 +111,26 @@ def nearest_plane_point(
 
     Ties on cell faces break toward the even integer (round-half-to-even).
     Returns the integer basis coefficients and the lattice point itself.
-    Raises ValueError for a non-finite query or one whose quotient overflows.
+    Raises ValueError, as :func:`nearest_lattice_point` does, for a query
+    that is not finite or whose quotients pass 2^18.
     """
     x1, x2 = x
-    b2 = _round_finite(x2 / lat.h)
-    b1 = _round_finite(x1 - b2 * lat.c)
+    b2 = _round_bounded(x, x2 / lat.h)
+    b1 = _round_bounded(x, x1 - b2 * lat.c)
     return (b1, b2), lat.point(b1, b2)
 
 
-def _round_finite(q: float) -> int:
-    # round() raises OverflowError on inf and ValueError on nan; both mean the
-    # query was not finite or overflowed on its way here.
-    if not math.isfinite(q):
-        raise ValueError(f"query is not finite or overflows double precision (quotient {q!r})")
+def _check_terms(x, *terms: float) -> None:
+    """Reject the query ``x`` once a term of its search passes _MAX_TERM or is NaN."""
+    if not all(abs(t) <= _MAX_TERM for t in terms):
+        raise ValueError(
+            f"query {x!r} is not finite or too far from the origin: its nearest-point"
+            " search has a term beyond 2**18"
+        )
+
+
+def _round_bounded(x, q: float) -> int:
+    _check_terms(x, q)
     return round(q)
 
 
@@ -227,16 +236,29 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
     scans their 3x3 neighbourhood, which holds the closest point because the
     reduced Voronoi cell spans less than one unit per coordinate.  Distance
     ties break toward the lexicographically smallest coefficient pair in the
-    original basis.  Raises ValueError for a non-finite query or one whose
-    arithmetic overflows.
+    original basis.
+
+    The answer is the nearest point to within 1e-9 in exact distance.  The
+    scan compares (x1 - n1 - n2*c)^2 + (x2 - n2*h)^2 in floats and raises
+    ValueError unless every term (x1, x2, the reduced coordinates of x, and
+    each candidate's n1 and n2*max(1, |c|, h)) is at most B = 2^18 in
+    magnitude; NaN fails too.  With u = 2^-53: the integers are exact,
+    n1 + n2*c is off by at most 3uB, the differences by 6uB in x and 3uB in
+    y (6.71uB in length), and the squares and sum add a relative 3u to a
+    squared distance of at most 13B^2, i.e. 5.41uB.  So each computed
+    distance is within 12.12uB of the exact one, the winner is at most
+    24.24uB farther than the nearest candidate, and rounding it to floats
+    adds at most 3.17uB: 27.41uB = 8.0e-10 in all (1.6e-9 at B = 2^19).
+    Without the bound, the query (1e15 + 0.3, 3e14 + 0.1) on the hexagonal
+    lattice would get a point 0.4002 away, where one 0.3890 away exists.
     """
     x1, x2 = x
     u, w = _reduced_basis(lat)
     ux, uy = lat.point(*u)
     wx, wy = lat.point(*w)
     det = ux * wy - uy * wx
-    a = _round_finite((x1 * wy - x2 * wx) / det)
-    b = _round_finite((ux * x2 - uy * x1) / det)
+    a = _round_bounded(x, (x1 * wy - x2 * wx) / det)
+    b = _round_bounded(x, (ux * x2 - uy * x1) / det)
 
     def key(n: tuple[int, int]) -> tuple[float, int, int]:
         px, py = lat.point(*n)
@@ -247,25 +269,27 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
         for db in (-1, 0, 1)
         for da in (-1, 0, 1)
     ]
-    try:
-        dist2, n1, n2 = min(map(key, candidates))
-        if math.isfinite(dist2):
-            return lat.point(n1, n2)
-    except OverflowError:
-        pass
-    raise ValueError(f"query {x!r} overflows double precision on rho={lat.rho}, theta={lat.theta}")
+    # The largest |n1| and |n2| of the nine candidates, whose offsets da, db
+    # can take the sign of each centre coefficient.
+    n1_max = abs(a * u[0] + b * w[0]) + abs(u[0]) + abs(w[0])
+    n2_max = abs(a * u[1] + b * w[1]) + abs(u[1]) + abs(w[1])
+    _check_terms(x, x1, x2, n1_max, n2_max * max(1.0, abs(lat.c), lat.h))
+    _, n1, n2 = min(map(key, candidates))
+    return lat.point(n1, n2)
 
 
 @dataclass(frozen=True)
 class SubdivisionCell:
-    rect: Rect
-    crossing_segment: Optional[Segment] = None
+    """A row (x_lo, x_hi, y_lo, y_hi) of the refinement and, for a crossed
+    cell, the coefficients of the lattice point across its Voronoi boundary."""
+
+    rect: tuple[float, float, float, float]
     neighbor: Optional[tuple[int, int]] = None
 
     @property
     def error_free(self) -> bool:
         """True iff no Voronoi boundary segment crosses the cell."""
-        return self.crossing_segment is None
+        return self.neighbor is None
 
 
 @dataclass(frozen=True)
@@ -276,7 +300,7 @@ class BabaiSubdivision:
     cells: tuple[SubdivisionCell, ...]
 
     @property
-    def babai_cell(self) -> Rect:
+    def babai_cell(self) -> tuple[float, float, float, float]:
         return babai_cell(self.lattice)
 
     @property
@@ -297,6 +321,12 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     the unit-square problem.  For c = rho*cos(theta) != 1/2 two crossed cells
     are not: for c < 1/2 the upper-left cell's boundary segment spans only
     c/(1-c) of its width, and the lower-right cell mirrors it.
+
+    Every row is finite with lo < hi on both axes.  The three guards
+    (tol*rho < c < 1 - tol, rho - cos(theta) > tol*max(1, rho) and y_c < h/2)
+    give 0 < m <= 1/4 and 0 < y_c < h/2: rho^2 - c = rho*(rho - cos(theta))
+    keeps the second guard's margin, far above its rounding, and a y_c that
+    overflow makes infinite or NaN fails the third guard.
     """
     c, h = lat.c, lat.h
     if c <= _GEOM_TOL * lat.rho:
@@ -320,19 +350,14 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
             " are too thin for double precision"
         )
 
-    seg_ur = Segment(Point2(c / 2.0, top), Point2(0.5, y_c))
-    seg_ul = Segment(Point2(-0.5, y_c), Point2(-(1.0 - c) / 2.0, top))
-    seg_ll = Segment(Point2(-c / 2.0, -top), Point2(-0.5, -y_c))
-    seg_lr = Segment(Point2(0.5, -y_c), Point2((1.0 - c) / 2.0, -top))
-
     cells = (
-        SubdivisionCell(Rect(-m, m, -top, top)),
-        SubdivisionCell(Rect(-0.5, -m, y_c, top), seg_ul, (-1, 1)),
-        SubdivisionCell(Rect(-0.5, -m, -y_c, y_c)),
-        SubdivisionCell(Rect(-0.5, -m, -top, -y_c), seg_ll, (0, -1)),
-        SubdivisionCell(Rect(m, 0.5, y_c, top), seg_ur, (0, 1)),
-        SubdivisionCell(Rect(m, 0.5, -y_c, y_c)),
-        SubdivisionCell(Rect(m, 0.5, -top, -y_c), seg_lr, (1, -1)),
+        SubdivisionCell((-m, m, -top, top)),
+        SubdivisionCell((-0.5, -m, y_c, top), (-1, 1)),
+        SubdivisionCell((-0.5, -m, -y_c, y_c)),
+        SubdivisionCell((-0.5, -m, -top, -y_c), (0, -1)),
+        SubdivisionCell((m, 0.5, y_c, top), (0, 1)),
+        SubdivisionCell((m, 0.5, -y_c, y_c)),
+        SubdivisionCell((m, 0.5, -top, -y_c), (1, -1)),
     )
     return BabaiSubdivision(lat, cells)
 
@@ -376,21 +401,21 @@ def round_rates(sub: BabaiSubdivision) -> RoundRates:
     if sub.degenerate:
         return RoundRates((1.0,), (1.0,), 1.0, 1.0)
     h = sub.lattice.h
-    middle = sub.cells[0].rect
-    left_col = sub.cells[1].rect
-    q_mid = middle.width  # Babai cell width is 1
-    q_outer = left_col.width
+    mid_lo, mid_hi, _, _ = sub.cells[0].rect
+    out_lo, out_hi, _, _ = sub.cells[1].rect
+    q_mid = mid_hi - mid_lo  # Babai cell width is 1
+    q_outer = out_hi - out_lo
     Q = (q_outer, q_mid, q_outer)
 
     rows = [c.rect for c in sub.cells[1:4]]  # top, middle, bottom of one column
-    P = tuple(r.height / h for r in rows)
+    P = tuple((y_hi - y_lo) / h for _, _, y_lo, y_hi in rows)
     return RoundRates(Q, P, Q[1], P[1])
 
 
 def crossed_cell_mass(sub: BabaiSubdivision) -> float:
     """Total probability of the non-error-free cells under the uniform measure."""
-    area = sub.babai_cell.area
-    return math.fsum(c.rect.area for c in sub.cells if not c.error_free) / area
+    area = _area(sub.babai_cell)
+    return math.fsum(_area(c.rect) for c in sub.cells if not c.error_free) / area
 
 
 def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> float:
@@ -402,16 +427,16 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
     of :func:`sample_inputs`, which rejects ``samples < 1``, mapped onto the
     Babai cell and tallied chunk by chunk.
     """
-    cell = sub.babai_cell
+    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
     crossed = [sc.rect for sc in sub.cells if not sc.error_free]
     total = samples  # round 1, for every point
     for pairs in sample_inputs(seed, samples):
-        xs = pairs[:, 0] * cell.width + cell.x_lo
-        ys = pairs[:, 1] * cell.height + cell.y_lo
-        for r in crossed:
-            inside = (xs >= r.x_lo) & (xs < r.x_hi) & (ys >= r.y_lo) & (ys < r.y_hi)
-            u1 = (xs[inside] - r.x_lo) / r.width
-            u2 = (ys[inside] - r.y_lo) / r.height
+        xs = pairs[:, 0] * (cx_hi - cx_lo) + cx_lo
+        ys = pairs[:, 1] * (cy_hi - cy_lo) + cy_lo
+        for x_lo, x_hi, y_lo, y_hi in crossed:
+            inside = (xs >= x_lo) & (xs < x_hi) & (ys >= y_lo) & (ys < y_hi)
+            u1 = (xs[inside] - x_lo) / (x_hi - x_lo)
+            u2 = (ys[inside] - y_lo) / (y_hi - y_lo)
             # Bit exchange past 60 agreeing bits has probability 2^-60: negligible.
             total += int(_stopping_rounds(u1, u2, 60).sum())
     return total / samples
@@ -420,14 +445,14 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
 def subdivision_to_json(sub: BabaiSubdivision) -> dict:
     """JSON-ready description: babai_cell extents plus per-cell rect/flag/prob."""
     cell = sub.babai_cell
-    area = cell.area
+    area = _area(cell)
     return {
-        "babai_cell": cell.as_list(),
+        "babai_cell": list(cell),
         "cells": [
             {
-                "rect": c.rect.as_list(),
+                "rect": list(c.rect),
                 "error_free": c.error_free,
-                "prob": c.rect.area / area,
+                "prob": _area(c.rect) / area,
             }
             for c in sub.cells
         ],

@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "PROB_TOL",
     "MAX_PARTITION_DEPTH",
-    "Rect",
     "TargetFunction",
     "LabeledPartition",
     "entropy_bits",
@@ -81,38 +80,6 @@ def entropy_bits(probs: Iterable[float]) -> float:
         if p > 0.0:
             terms.append(-p * math.log2(p))
     return math.fsum(terms)
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle (x_lo, x_hi) x (y_lo, y_hi) with positive area."""
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-
-    def __post_init__(self) -> None:
-        vals = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite rectangle coordinates {vals}")
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
-            raise ValueError(f"degenerate rectangle {vals}")
-
-    @property
-    def width(self) -> float:
-        return self.x_hi - self.x_lo
-
-    @property
-    def height(self) -> float:
-        return self.y_hi - self.y_lo
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_list(self) -> list[float]:
-        return [self.x_lo, self.x_hi, self.y_lo, self.y_hi]
 
 
 def _is_number(v: object) -> bool:
@@ -320,16 +287,16 @@ def is_zero_error(part: LabeledPartition, f: TargetFunction) -> bool:
     return bool(np.all(np.where(part.labels == "p", p_ok, q_ok)))
 
 
-def majorizes(p: Sequence[float], q: Sequence[float], tol: float = PROB_TOL) -> bool:
+def majorizes(p: Sequence[float], q: Sequence[float]) -> bool:
     """True iff sorted-descending prefix sums of p dominate those of q.
 
     Raises ValueError when the vectors do not carry the same total mass.
     """
     ps = sorted((float(v) for v in p), reverse=True)
     qs = sorted((float(v) for v in q), reverse=True)
-    if ps and ps[-1] < -tol or qs and qs[-1] < -tol:
+    if ps and ps[-1] < -PROB_TOL or qs and qs[-1] < -PROB_TOL:
         raise ValueError("probability vectors must be nonnegative")
-    if abs(math.fsum(ps) - math.fsum(qs)) > tol:
+    if abs(math.fsum(ps) - math.fsum(qs)) > PROB_TOL:
         raise ValueError("mismatched totals")
     n = max(len(ps), len(qs))
     ps += [0.0] * (n - len(ps))
@@ -339,16 +306,17 @@ def majorizes(p: Sequence[float], q: Sequence[float], tol: float = PROB_TOL) -> 
     for a, b in zip(ps, qs):
         run_p += a
         run_q += b
-        if run_p < run_q - tol:
+        if run_p < run_q - PROB_TOL:
             return False
     return True
 
 
-def _subtract(row: list[float], s: Rect) -> list[list[float]]:
-    """Parts of the cell ``row`` outside s, as up to four rows."""
+def _subtract(row: list[float], cut: list[float]) -> list[list[float]]:
+    """Parts of the cell ``row`` outside the cell ``cut``, as up to four rows."""
     x_lo, x_hi, y_lo, y_hi = row
-    ix_lo, ix_hi = max(x_lo, s.x_lo), min(x_hi, s.x_hi)
-    iy_lo, iy_hi = max(y_lo, s.y_lo), min(y_hi, s.y_hi)
+    cx_lo, cx_hi, cy_lo, cy_hi = cut
+    ix_lo, ix_hi = max(x_lo, cx_lo), min(x_hi, cx_hi)
+    iy_lo, iy_hi = max(y_lo, cy_lo), min(y_hi, cy_hi)
     if not (ix_lo < ix_hi and iy_lo < iy_hi):  # the open interiors do not meet
         return [row]
     pieces = []
@@ -376,7 +344,9 @@ def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     whenever no donor cell is larger than the chosen p-cell and none is cut
     in two.  Only a residual cell whose interior holds the corner (v, v) is
     cut in two, so a residual square [lo, hi]^2 with lo < v < hi can break
-    majorization; recursive corner-cut partitions have no such square.
+    majorization; recursive corner-cut partitions have no such square.  A
+    p-cell that reaches the top edge (v = 1) grows into an empty cell, which
+    the partition's bounds check rejects with ValueError.
     """
     p_rows = np.flatnonzero(part.labels == "p")
     if not p_rows.size:
@@ -384,9 +354,9 @@ def readjust_max_rectangle(part: LabeledPartition) -> LabeledPartition:
     x_lo, x_hi, y_lo, y_hi = part.cells[p_rows].T
     target = p_rows[np.lexsort((y_hi, x_hi, y_lo, x_lo, -_areas(part.cells[p_rows])))[0]]
     v = float(part.cells[target, 3])
-    grown = Rect(v, 1.0, 0.0, v)
+    grown = [v, 1.0, 0.0, v]
 
-    cells, labels = [grown.as_list()], ["p"]
+    cells, labels = [grown], ["p"]
     for i, (row, label) in enumerate(zip(part.cells.tolist(), part.labels.tolist())):
         if i != target:
             pieces = _subtract(row, grown)
@@ -458,7 +428,7 @@ def maximize_staircase_numeric(m: int) -> tuple[tuple[float, ...], float]:
     return corners, staircase_area(corners)
 
 
-def satisfies_staircase_bounds(part: LabeledPartition, tol: float = PROB_TOL) -> bool:
+def satisfies_staircase_bounds(part: LabeledPartition) -> bool:
     """Check the staircase constraints on a zero-error partition.
 
     Every size-m subset of p-cell probabilities (likewise q) must sum to at
@@ -472,10 +442,10 @@ def satisfies_staircase_bounds(part: LabeledPartition, tol: float = PROB_TOL) ->
     """
     for probs in (part.p_probs(), part.q_probs()):
         prefix = np.cumsum(np.sort(probs)[::-1])
-        if not np.all(prefix <= _staircase_bound(np.arange(1, len(prefix) + 1)) + tol):
+        if not np.all(prefix <= _staircase_bound(np.arange(1, len(prefix) + 1)) + PROB_TOL):
             return False
     sp = math.fsum(part.p_probs())
     sq = math.fsum(part.q_probs())
     if len(part.residual):
-        return abs(sp - sq) <= tol
-    return abs(sp - 0.5) <= tol and abs(sq - 0.5) <= tol
+        return abs(sp - sq) <= PROB_TOL
+    return abs(sp - 0.5) <= PROB_TOL and abs(sq - 0.5) <= PROB_TOL

@@ -21,6 +21,12 @@ from latcomm import ConvexPolygon, Lattice2D, LabeledPartition, ProtocolTree, Ta
 from latcomm.protocol_engine import _Leaf
 
 
+def cell_area(row) -> float:
+    """Area of a cell row (x_lo, x_hi, y_lo, y_hi)."""
+    x_lo, x_hi, y_lo, y_hi = row
+    return (x_hi - x_lo) * (y_hi - y_lo)
+
+
 def generator_matrix(lat: Lattice2D) -> np.ndarray:
     """Upper-triangular generator with columns (1,0) and (rho cos, rho sin)."""
     return np.array([[1.0, lat.c], [0.0, lat.h]])
@@ -93,6 +99,37 @@ def nearest_by_enumeration(lat: Lattice2D, x):
             if best is None or key < best:
                 best = key
     return (best[1] + best[2] * lat.c, best[2] * lat.h), (best[1], best[2])
+
+
+def nearest_by_fractions(lat: Lattice2D, x) -> tuple[Fraction, tuple[int, int]]:
+    """Exact least squared distance from x to the lattice, with its coefficients.
+
+    Works in Fraction arithmetic on the float values of c, h and x, so it
+    holds however far x lies from the origin.  The exact Babai point's squared
+    distance r^2 bounds the answer, so the rows |x2 - n2 h| <= r and, in each
+    row, the n1 with |x1 - n1 - n2 c| <= r hold every candidate.  Ties break
+    on (distance^2, n1, n2), as in the library.
+    """
+    c, h = Fraction(lat.c), Fraction(lat.h)
+    x1, x2 = Fraction(x[0]), Fraction(x[1])
+
+    def dist2(n1: int, n2: int) -> Fraction:
+        return (x1 - n1 - n2 * c) ** 2 + (x2 - n2 * h) ** 2
+
+    anchor2 = round(x2 / h)
+    anchor1 = round(x1 - anchor2 * c)
+    # A float square root, widened past its rounding, is a safe upper bound on r.
+    r = Fraction(math.sqrt(float(dist2(anchor1, anchor2)))) * (1 + Fraction(1, 2**40)) + Fraction(
+        1, 2**60
+    )
+    best = None
+    for n2 in range(math.floor((x2 - r) / h), math.ceil((x2 + r) / h) + 1):
+        row = x1 - n2 * c
+        for n1 in range(math.floor(row - r), math.ceil(row + r) + 1):
+            key = (dist2(n1, n2), n1, n2)
+            if best is None or key < best:
+                best = key
+    return best[0], (best[1], best[2])
 
 
 def fraction_bits(x: float | Fraction, n: int) -> list[int]:
@@ -175,17 +212,17 @@ def round_count_by_doubling(sub, samples: int, seed: int) -> float:
         np.random.default_rng(child).random((min(2**16, samples - j * 2**16), 2))
         for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks))
     ])
-    cell = sub.babai_cell
-    xs = pairs[:, 0] * cell.width + cell.x_lo
-    ys = pairs[:, 1] * cell.height + cell.y_lo
+    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
+    xs = pairs[:, 0] * (cx_hi - cx_lo) + cx_lo
+    ys = pairs[:, 1] * (cy_hi - cy_lo) + cy_lo
     rounds = np.ones(samples, dtype=np.int64)
     for sc in sub.cells:
         if sc.error_free:
             continue
-        r = sc.rect
-        inside = (xs >= r.x_lo) & (xs < r.x_hi) & (ys >= r.y_lo) & (ys < r.y_hi)
-        u1 = (xs[inside] - r.x_lo) / r.width
-        u2 = (ys[inside] - r.y_lo) / r.height
+        x_lo, x_hi, y_lo, y_hi = sc.rect
+        inside = (xs >= x_lo) & (xs < x_hi) & (ys >= y_lo) & (ys < y_hi)
+        u1 = (xs[inside] - x_lo) / (x_hi - x_lo)
+        u2 = (ys[inside] - y_lo) / (y_hi - y_lo)
         rounds[inside] += doubling_stopping_rounds(u1, u2, 60)
     return float(rounds.sum()) / samples
 
@@ -273,9 +310,10 @@ def entropy_ratio_by_decimal(v: float) -> float:
         return float(h / (2 * x * w * Decimal(2).ln()))
 
 
+@lru_cache(maxsize=None)  # several tests share each n
 def grid_protocol_min_entropy(
     n: int, target: TargetFunction = TargetFunction.MIN_INDICATOR
-) -> tuple[float, list[tuple[tuple[float, ...], str]]]:
+) -> tuple[float, tuple[tuple[tuple[float, ...], str], ...]]:
     """Least partition entropy of an interval-message protocol on the n x n grid.
 
     A grid protocol cuts the current rectangle of grid cells along either
@@ -328,7 +366,7 @@ def grid_protocol_min_entropy(
             collect(a, b, cut[1], d)
 
     collect(0, n, 0, n)
-    return best(0, n, 0, n)[0], cells
+    return best(0, n, 0, n)[0], tuple(cells)
 
 
 def grid_set_protocol_min_entropy(n: int) -> float:

@@ -16,6 +16,7 @@ import latcomm as lc
 from latcomm.cli import DEFAULT_SEED, main
 
 from oracles import (
+    cell_area,
     closed_form_truncated_bits,
     random_majorizing_pair,
     random_superbase_lattice,
@@ -118,10 +119,11 @@ def test_criterion_8_lattice_geometry_suite():
     # classified through the subdivision.
     sub = lc.babai_subdivision(HEX)
     cell = sub.babai_cell
+    cx_lo, cx_hi, cy_lo, cy_hi = cell
     n = 100_000
     pts = rng.random((n, 2))
-    pts[:, 0] = pts[:, 0] * cell.width + cell.x_lo
-    pts[:, 1] = pts[:, 1] * cell.height + cell.y_lo
+    pts[:, 0] = pts[:, 0] * (cx_hi - cx_lo) + cx_lo
+    pts[:, 1] = pts[:, 1] * (cy_hi - cy_lo) + cy_lo
     coeffs = [(n1, n2) for n2 in range(-3, 4) for n1 in range(-3, 4)]
     cand = np.array([[n1 + n2 * HEX.c, n2 * HEX.h] for n1, n2 in coeffs])
     d2 = (pts[:, 0, None] - cand[None, :, 0]) ** 2 + (pts[:, 1, None] - cand[None, :, 1]) ** 2
@@ -131,10 +133,10 @@ def test_criterion_8_lattice_geometry_suite():
     classify_ok = True
     covered = np.zeros(n, dtype=bool)
     for sc in sub.cells:
-        r = sc.rect
+        x_lo, x_hi, y_lo, y_hi = sc.rect
         mask = (
-            (pts[:, 0] >= r.x_lo) & (pts[:, 0] < r.x_hi)
-            & (pts[:, 1] >= r.y_lo) & (pts[:, 1] < r.y_hi)
+            (pts[:, 0] >= x_lo) & (pts[:, 0] < x_hi)
+            & (pts[:, 1] >= y_lo) & (pts[:, 1] < y_hi)
         )
         covered |= mask
         if sc.error_free:
@@ -160,7 +162,7 @@ def test_criterion_8_lattice_geometry_suite():
     seven_ok = (
         len(sub.cells) == 7
         and sum(c.error_free for c in sub.cells) == 3
-        and abs(math.fsum(c.rect.area for c in sub.cells) - cell.area) <= 1e-12
+        and abs(math.fsum(cell_area(c.rect) for c in sub.cells) - cell_area(cell)) <= 1e-12
     )
 
     rates = lc.round_rates(sub)

@@ -438,6 +438,20 @@ def test_lattice_nearest_rejects_non_finite_and_overflowing_queries(capsys, quer
     assert err.startswith("error: query ")
 
 
+def test_lattice_nearest_rejects_a_query_far_from_the_origin(capsys):
+    # Past 2^18 the float search loses the query's fractional part: it would
+    # print a point 0.4002 away, where one 0.3890 away exists.
+    code, out, err = run_cli(
+        capsys, "lattice-nearest", "--rho", "1", "--theta", repr(math.pi / 3),
+        "--x", repr(1e15 + 0.3), "--y", repr(3e14 + 0.1), "--json",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: query (1000000000000000.2, 300000000000000.1) is not finite or too far"
+        " from the origin"
+    )
+
+
 def test_optimize_ratio_tolerance_range(capsys):
     for tolerance in [10.0 ** (k / 4) for k in range(-32, -11)]:  # 1e-8 .. 1e-3
         code, out, _ = run_cli(capsys, "optimize-ratio", f"--tolerance={tolerance!r}", "--json")

@@ -16,6 +16,8 @@ from latcomm import (
     quadrant_min_entropy,
     induced_partition,
     is_zero_error,
+    make_leaf,
+    make_node,
     minimize_entropy_ratio,
     partition_entropy,
     run_all_checks,
@@ -23,19 +25,17 @@ from latcomm import (
     side_conditional_entropy,
     sum_rate,
     satisfies_staircase_bounds,
+    rate_matches_partition_entropy,
 )
+from latcomm.protocol_engine import ProtocolTree
 
 from oracles import (
+    cell_area,
     closed_form_truncated_bits,
     entropy_ratio_by_decimal,
     grid_protocol_min_entropy,
     grid_set_protocol_min_entropy,
 )
-
-
-def area(row):
-    x_lo, x_hi, y_lo, y_hi = row
-    return (x_hi - x_lo) * (y_hi - y_lo)
 
 
 def test_quadrant_vertex_and_value():
@@ -139,8 +139,8 @@ def test_entropy_decomposes_by_side():
     # square in half; grouping by side must then reproduce the entropy.
     for v, depth in ((0.3, 5), (0.5, 4), (0.62, 6)):
         part = self_similar_partition(v, depth)
-        refined = [area(r) for r in part.cells.tolist()]
-        refined += [area(r) / 2.0 for r in part.residual.tolist() for _ in range(2)]
+        refined = [cell_area(r) for r in part.cells.tolist()]
+        refined += [cell_area(r) / 2.0 for r in part.residual.tolist() for _ in range(2)]
         lhs = entropy_bits(refined)
         rhs = 1.0 + 0.5 * side_conditional_entropy(part, "p") + 0.5 * side_conditional_entropy(
             part, "q"
@@ -177,13 +177,14 @@ def test_half_partition_meets_staircase_bounds_with_equality():
     # i/(m+1) and meet the m/(2(m+1)) bound exactly, for m = 2^j - 1.
     part = self_similar_partition(0.5, 6)
     p_cells = sorted(part.cells[part.labels == "p"].tolist(), reverse=True,
-                     key=lambda r: (area(r), r[0], r[2], r[1], r[3]))
+                     key=lambda r: (cell_area(r), r[0], r[2], r[1], r[3]))
     for j in (1, 2, 3):
         m = 2**j - 1
         chosen = p_cells[:m]
         corners = sorted(x_lo for x_lo, _, _, _ in chosen)
         assert corners == pytest.approx([i / (m + 1) for i in range(1, m + 1)], abs=1e-12)
-        assert math.fsum(area(r) for r in chosen) == pytest.approx(m / (2 * (m + 1)), abs=1e-12)
+        total = math.fsum(cell_area(r) for r in chosen)
+        assert total == pytest.approx(m / (2 * (m + 1)), abs=1e-12)
         for x_lo, _, _, y_hi in chosen:
             assert y_hi == pytest.approx(x_lo, abs=1e-15)  # corner on the diagonal
 
@@ -199,10 +200,10 @@ def test_self_similar_partition_one_level():
     r_star = part.cells[part.labels == "p"][0].tolist()
     assert r_star == [0.25, 1.0, 0.0, 0.25]
     a_square, b_square = sorted(part.residual.tolist())
-    assert area(a_square) == pytest.approx(0.0625)
-    assert area(b_square) == pytest.approx(0.5625)
+    assert cell_area(a_square) == pytest.approx(0.0625)
+    assert cell_area(b_square) == pytest.approx(0.5625)
     # conditional masses given the lower triangle: (v^2, 2v(1-v), (1-v)^2)
-    probs = (area(a_square), 2 * area(r_star), area(b_square))
+    probs = (cell_area(a_square), 2 * cell_area(r_star), cell_area(b_square))
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
     assert probs[1] == pytest.approx(2 * 0.25 * 0.75, abs=1e-15)
     assert side_conditional_entropy(part, "p") == pytest.approx(
@@ -228,6 +229,58 @@ def test_grid_protocols_meet_the_four_bit_converse(n):
         [row for row, label in cells if label == "u"],
     )
     assert abs(partition_entropy(part) - h) <= 1e-12
+    assert is_zero_error(part, TargetFunction.MIN_INDICATOR)
+    assert satisfies_staircase_bounds(part)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_grid_protocol_minimum_is_bit_exchange_at_powers_of_two(k):
+    # Not just the entropy: the argmin's cell probabilities, residual cells
+    # included, are those of bit exchange to depth k.
+    _, cells = grid_protocol_min_entropy(2**k)
+    argmin = sorted(cell_area(row) for row, _ in cells)
+    assert argmin == sorted(induced_partition(bit_exchange_protocol(k)).all_probs().tolist())
+
+
+def protocol_from_cells(cells) -> ProtocolTree:
+    """Protocol tree whose leaves are the given guillotine cells.
+
+    Each turn cuts the speaker's interval at every grid line that no cell
+    crosses, so consecutive cuts by one speaker become one multi-symbol
+    message, and the next turn, if any, belongs to the other speaker.
+    """
+    values = {"p": 1, "q": 0, "u": None}
+    depth = 0
+
+    def build(i1, i2, cells, level):
+        nonlocal depth
+        depth = max(depth, level)
+        if len(cells) == 1:
+            return make_leaf(values[cells[0][1]], i1, i2)
+        for speaker, own, lo in ((1, i1, 0), (2, i2, 2)):
+            cuts = sorted({row[lo] for row, _ in cells} - {own[0]})
+            cuts = [k for k in cuts if not any(row[lo] < k < row[lo + 1] for row, _ in cells)]
+            if cuts:
+                bounds = (own[0], *cuts, own[1])
+                children = []
+                for a, b in zip(bounds, bounds[1:]):
+                    part = [(row, lbl) for row, lbl in cells if a <= row[lo] and row[lo + 1] <= b]
+                    sub = ((a, b), i2) if speaker == 1 else (i1, (a, b))
+                    children.append(build(*sub, part, level + 1))
+                return make_node(speaker, i1, i2, bounds, children)
+        raise AssertionError("cells are not a guillotine partition")
+
+    root = build((0.0, 1.0), (0.0, 1.0), cells, 0)
+    return ProtocolTree(root, (depth + 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_grid_protocol_argmin_runs_as_a_protocol(n):
+    h, cells = grid_protocol_min_entropy(n)
+    tree = protocol_from_cells(cells)
+    assert abs(sum_rate(tree) - h) <= 1e-12
+    assert rate_matches_partition_entropy(tree)
+    part = induced_partition(tree)
     assert is_zero_error(part, TargetFunction.MIN_INDICATOR)
     assert satisfies_staircase_bounds(part)
 

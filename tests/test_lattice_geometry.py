@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +24,11 @@ from latcomm import (
 
 from oracles import (
     brute_force_nearest,
+    cell_area,
     generator_matrix,
     is_centrally_symmetric,
     nearest_by_enumeration,
+    nearest_by_fractions,
     polygon_contains,
     random_corner_cut_lattice,
     random_superbase_lattice,
@@ -34,6 +38,11 @@ from oracles import (
 HEX = Lattice2D(1.0, math.pi / 3)
 Z2 = Lattice2D(1.0, math.pi / 2)
 RECT2 = Lattice2D(2.0, math.pi / 2)
+
+
+def corners(row):
+    x_lo, x_hi, y_lo, y_hi = row
+    return ((x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi))
 
 
 def test_lattice_validation():
@@ -213,8 +222,67 @@ def test_nearest_lattice_point_rejects_unreducible_bases():
     ],
 )
 def test_nearest_lattice_point_rejects_overflowing_queries(rho, theta, x):
-    with pytest.raises(ValueError, match="overflows double precision"):
+    with pytest.raises(ValueError, match="too far from the origin"):
         nearest_lattice_point(Lattice2D(rho, theta), x)
+
+
+# Bound on the terms of the float nearest-point search (lattice_geometry._MAX_TERM).
+B = 2.0**18
+
+
+def exact_distance(d2: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(d2.numerator) / Decimal(d2.denominator)).sqrt()
+
+
+# Up to B, and past it, where a search without the bound errs by more than 1e-9.
+_QUERY = st.one_of(st.floats(-B, B), st.floats(-(2.0**30), 2.0**30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(0.3, math.pi / 2), _QUERY, _QUERY)
+@example(1.0, math.pi / 3, B / 2 + 0.3, B / 4 + 0.1)
+@example(1.0, math.pi / 2, B, -B)
+@example(0.3, 0.3, B, B)
+def test_nearest_lattice_point_is_exact_to_1e_9_or_rejects(rho, theta, x1, x2):
+    # The docstring's error bound: once every term of the search is at most
+    # 2^18, the returned point is at most 8.0e-10 farther than the nearest.
+    lat = Lattice2D(rho, theta)
+    best, (n1, n2) = nearest_by_fractions(lat, (x1, x2))
+    try:
+        got = nearest_lattice_point(lat, (x1, x2))
+    except ValueError:
+        # Rejected only when a term passes B; on these lattices the terms of
+        # the search and of the nearest point differ by a small factor.
+        scale = max(1.0, abs(lat.c), lat.h)
+        assert max(abs(x1), abs(x2), abs(n1), abs(n2) * scale) > B / 4
+        return
+    d2 = (Fraction(got.x1) - Fraction(x1)) ** 2 + (Fraction(got.x2) - Fraction(x2)) ** 2
+    assert exact_distance(d2) <= exact_distance(best) + Decimal("1e-9")
+
+
+def test_nearest_lattice_point_never_rejects_a_hexagonal_query_within_half_the_bound():
+    # On the hexagonal lattice n1 ~ x1 - x2/sqrt(3) and n2 ~ 2 x2/sqrt(3),
+    # both within B for |x1|, |x2| <= B/2.
+    for x in ((B / 2, B / 2), (-B / 2, B / 2), (B / 2 - 0.3, -B / 2 + 0.1)):
+        best, _ = nearest_by_fractions(HEX, x)
+        got = nearest_lattice_point(HEX, x)
+        d2 = (Fraction(got.x1) - Fraction(x[0])) ** 2 + (Fraction(got.x2) - Fraction(x[1])) ** 2
+        assert exact_distance(d2) <= exact_distance(best) + Decimal("1e-9")
+
+
+def test_nearest_points_reject_a_query_far_from_the_origin():
+    # Past the bound the float search loses the query's fractional part: the
+    # point it would return is 0.4002 away, the nearest only 0.3890.
+    x = (1e15 + 0.3, 3e14 + 0.1)
+    best, coeffs = nearest_by_fractions(HEX, x)
+    assert coeffs == (826794919243112, 346410161513776)
+    assert abs(exact_distance(best) - Decimal("0.3890")) < Decimal("1e-4")
+    with pytest.raises(ValueError, match="too far from the origin"):
+        nearest_lattice_point(HEX, x)
+    with pytest.raises(ValueError, match="too far from the origin"):
+        nearest_plane_point(HEX, x)
 
 
 def test_babai_subdivision_degenerate():
@@ -230,31 +298,23 @@ def test_babai_subdivision_hexagonal_structure():
     assert len(sub.cells) == 7
     assert sum(c.error_free for c in sub.cells) == 3
     # tiling: areas sum to the Babai cell area
-    total = math.fsum(c.rect.area for c in sub.cells)
-    assert abs(total - sub.babai_cell.area) <= 1e-12
+    total = math.fsum(cell_area(c.rect) for c in sub.cells)
+    assert abs(total - cell_area(sub.babai_cell)) <= 1e-12
     # error-free cells sit inside the Voronoi cell
     poly = voronoi_cell(HEX)
     for c in sub.cells:
         if c.error_free:
-            r = c.rect
-            for corner in ((r.x_lo, r.y_lo), (r.x_lo, r.y_hi), (r.x_hi, r.y_lo), (r.x_hi, r.y_hi)):
+            for corner in corners(c.rect):
                 assert polygon_contains(poly, corner, tol=1e-9)
-    # each crossed cell is split in two: its segment endpoints lie on the
-    # cell boundary and the segment separates cell corners
+    # each crossed cell is split in two: the bisector with its neighbor
+    # separates the cell's corners
     for c in sub.cells:
         if c.error_free:
             continue
-        seg = c.crossing_segment
-        r = c.rect
-        for px, py in (seg.a, seg.b):
-            on_x = abs(px - r.x_lo) < 1e-12 or abs(px - r.x_hi) < 1e-12
-            on_y = abs(py - r.y_lo) < 1e-12 or abs(py - r.y_hi) < 1e-12
-            assert (on_x or on_y) and r.x_lo - 1e-12 <= px <= r.x_hi + 1e-12
-            assert r.y_lo - 1e-12 <= py <= r.y_hi + 1e-12
         n1, n2 = c.neighbor
         lam = HEX.point(n1, n2)
         sides = set()
-        for corner in ((r.x_lo, r.y_lo), (r.x_lo, r.y_hi), (r.x_hi, r.y_lo), (r.x_hi, r.y_hi)):
+        for corner in corners(c.rect):
             val = corner[0] * lam.x1 + corner[1] * lam.x2 - (lam.x1 ** 2 + lam.x2 ** 2) / 2
             if abs(val) > 1e-12:
                 sides.add(val > 0)
@@ -268,17 +328,17 @@ def test_babai_subdivision_point_classification(theta):
     lat = Lattice2D(1.0, theta)
     sub = babai_subdivision(lat)
     rng = np.random.default_rng(29)
-    cell = sub.babai_cell
+    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
     pts = rng.random((20_000, 2))
-    pts[:, 0] = pts[:, 0] * cell.width + cell.x_lo
-    pts[:, 1] = pts[:, 1] * cell.height + cell.y_lo
+    pts[:, 0] = pts[:, 0] * (cx_hi - cx_lo) + cx_lo
+    pts[:, 1] = pts[:, 1] * (cy_hi - cy_lo) + cy_lo
     for x1, x2 in pts.tolist():
         nearest = nearest_lattice_point(lat, (x1, x2))
         agrees = math.hypot(nearest.x1, nearest.x2) < 1e-12
         holder = None
         for c in sub.cells:
-            r = c.rect
-            if r.x_lo <= x1 < r.x_hi and r.y_lo <= x2 < r.y_hi:
+            x_lo, x_hi, y_lo, y_hi = c.rect
+            if x_lo <= x1 < x_hi and y_lo <= x2 < y_hi:
                 holder = c
                 break
         assert holder is not None
@@ -288,6 +348,52 @@ def test_babai_subdivision_point_classification(theta):
             lam = lat.point(*holder.neighbor)
             inside = x1 * lam.x1 + x2 * lam.x2 < (lam.x1 ** 2 + lam.x2 ** 2) / 2
             assert agrees == inside
+
+
+@st.composite
+def subdivision_lattices(draw):
+    """Random corner-cut lattices, plus the edges of the subdivision's domain."""
+    kind = draw(st.sampled_from(["random", "c_near_0", "c_near_1", "rho_near_cos", "rho_large"]))
+    if kind == "random":
+        return random_corner_cut_lattice(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if kind == "c_near_0":  # theta near pi/2
+        theta = draw(st.floats(math.pi / 2 - 1e-3, math.pi / 2))
+        return Lattice2D(draw(st.floats(0.1, 3.0)), theta)
+    if kind == "rho_large":  # rho up to 1e8, with c anywhere in (0, 1)
+        rho = draw(st.floats(1.0, 1e8))
+        return Lattice2D(rho, math.acos(draw(st.floats(1e-9, 1.0 - 1e-9)) / rho))
+    theta = draw(st.one_of(st.floats(0.05, math.pi / 2 - 0.05), st.floats(1e-6, 0.05)))
+    cos = math.cos(theta)
+    delta = draw(st.floats(1e-16, 1e-3))
+    rho = (1.0 - delta) / cos if kind == "c_near_1" else cos * (1.0 + delta)
+    return Lattice2D(rho, theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subdivision_lattices())
+@example(Lattice2D(1e8, math.pi / 2 - 1e-8))
+@example(Lattice2D(141222.2698497264, 1.5707963267937057))  # crossed rows too thin
+@example(HEX)
+def test_babai_subdivision_rows_are_nonempty_and_tile_the_babai_cell(lat):
+    try:
+        sub = babai_subdivision(lat)
+    except UnsupportedGeometryError:
+        return
+    cell = sub.babai_cell
+    cx_lo, cx_hi, cy_lo, cy_hi = cell
+    for c in sub.cells:
+        x_lo, x_hi, y_lo, y_hi = c.rect
+        assert all(math.isfinite(v) for v in c.rect)
+        assert x_lo < x_hi and y_lo < y_hi
+        assert cx_lo <= x_lo and x_hi <= cx_hi and cy_lo <= y_lo and y_hi <= cy_hi
+        assert c.error_free == (c.neighbor is None)
+    total = math.fsum(cell_area(c.rect) for c in sub.cells)
+    assert abs(total - cell_area(cell)) <= 1e-12 * cell_area(cell)
+    crossed = sum(not c.error_free for c in sub.cells)
+    if sub.degenerate:
+        assert crossed == 0 and lat.c <= 1e-12 * lat.rho
+    else:
+        assert 0 < lat.c < 1 and crossed == 4
 
 
 def test_babai_subdivision_unsupported_geometries():
@@ -323,8 +429,8 @@ def test_round_rates_probability_consistency():
         # crossed-cell mass identity
         assert abs((1 - rates.P0) * (1 - rates.Q0) - crossed_cell_mass(sub)) <= 1e-12
         # tiling
-        total = math.fsum(c.rect.area for c in sub.cells)
-        assert abs(total - sub.babai_cell.area) <= 1e-12
+        total = math.fsum(cell_area(c.rect) for c in sub.cells)
+        assert abs(total - cell_area(sub.babai_cell)) <= 1e-12
 
 
 def test_round_rates_all_error_free_reduces_to_hq():

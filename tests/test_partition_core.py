@@ -9,7 +9,6 @@ from hypothesis import event, given, settings, strategies as st
 
 from latcomm import (
     LabeledPartition,
-    Rect,
     TargetFunction,
     bit_exchange_protocol,
     entropy_bits,
@@ -47,21 +46,6 @@ def quarter_partition():
 
 def all_rows(part):
     return np.concatenate((part.cells, part.residual)).tolist()
-
-
-def test_rect_area_examples():
-    assert Rect(0.0, 1.0, 0.0, 1.0).area == 1.0
-    assert Rect(0.5, 1.0, 0.0, 0.5).area == 0.25
-    assert Rect(0.0, 0.5, 0.0, 0.25).area == 0.125
-
-
-def test_rect_validation():
-    with pytest.raises(ValueError):
-        Rect(0.5, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Rect(0.0, 1.0, 0.7, 0.2)
-    with pytest.raises(ValueError):
-        Rect(0.0, math.inf, 0.0, 1.0)
 
 
 def test_partition_entropy_examples():
@@ -329,6 +313,12 @@ def test_readjust_grows_to_corner_rectangle():
     assert p_rects[1] == [0.4, 1.0, 0.0, 0.4]
     assert is_zero_error(out, MIN)
     assert abs(math.fsum(out.all_probs()) - 1.0) < 1e-12
+
+
+def test_readjust_rejects_a_p_cell_reaching_the_top_edge():
+    # The one-cell all-p partition has v = 1: the grown cell [1, 1] x [0, 1] is empty.
+    with pytest.raises(ValueError, match="not a nonempty rectangle"):
+        readjust_max_rectangle(LabeledPartition([[0.0, 1.0, 0.0, 1.0]], ["p"]))
 
 
 def test_readjust_majorizes_and_lowers_entropy():
