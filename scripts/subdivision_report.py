@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Seven-rectangle refinements and their message rates for a few lattices.
 
-For each lattice: the subdivision JSON, the exact rate/round formulas, and a
-Monte Carlo round count to compare against the formula.
+For each lattice: the subdivision JSON, the message distributions, the rate
+read off the refinement's protocol tree and the round count, and a Monte
+Carlo round count to compare against the latter.
 """
 
 import json

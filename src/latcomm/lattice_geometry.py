@@ -3,8 +3,9 @@
 The lattice is spanned by the columns of ``[[1, rho*cos(theta)],
 [0, rho*sin(theta)]]``.  The module provides Babai (nearest-plane) rounding,
 exact closest-point search and the Voronoi cell of the origin, both from the
-Lagrange-Gauss reduced basis, and the seven-rectangle refinement of the Babai
-cell together with the two-round message statistics it induces.
+Lagrange-Gauss reduced basis, and the refinement of the Babai cell against
+the Voronoi boundary, built as a two-party protocol whose message
+statistics and transcript entropy give the rates.
 
 Geometry of the refinement, writing c = rho*cos(theta), h = rho*sin(theta):
 the Babai cell of the origin is [-1/2, 1/2] x [-h/2, h/2], and for
@@ -13,18 +14,19 @@ straight segments, one per corner.  The corner neighbors are the lattice
 points (c, h), (c-1, h) and their negatives; the segments meet the vertical
 cell edges at height y_c = (rho^2 - c) / (2h) and the horizontal edges at
 abscissae c/2 and (1-c)/2 (up to sign).  Column cuts at +-min(c, 1-c)/2 and
-row cuts at +-y_c then tile the cell into seven rectangles: the middle
-column, plus three rows in each outer column, of which exactly the two
-corner-adjacent rows are crossed.
+row cuts at +-y_c then tile the cell into seven rectangles: party 1 names
+the column, then in an outer column party 2 names the row.  The middle column
+and the middle rows are decided; the two corner-adjacent rows of each outer
+column are crossed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .partition_core import entropy_bits
+from .protocol_engine import ProtocolTree, make_leaf, make_node, sum_rate
 from .protocol_engine import _stopping_rounds, sample_inputs
 
 __all__ = [
@@ -294,10 +296,14 @@ class SubdivisionCell:
 
 @dataclass(frozen=True)
 class BabaiSubdivision:
-    """Rectangular refinement of the Babai cell against the Voronoi boundary."""
+    """Refinement of the Babai cell against the Voronoi boundary, and its protocol ``tree``.
+
+    Equality and hashing ignore the tree.
+    """
 
     lattice: Lattice2D
     cells: tuple[SubdivisionCell, ...]
+    tree: ProtocolTree = field(compare=False)
 
     @property
     def babai_cell(self) -> tuple[float, float, float, float]:
@@ -311,10 +317,13 @@ class BabaiSubdivision:
 def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     """Seven-rectangle refinement of the Babai cell (degenerate: one cell).
 
-    For theta = pi/2 the Voronoi and Babai cells coincide and a single
-    error-free cell is returned.  Outside the supported corner-cut topology
-    (requires cos(theta) < rho and rho*cos(theta) < 1) the construction
-    raises :class:`UnsupportedGeometryError` rather than guessing.
+    Party 1 names the column over (-1/2, -m, m, 1/2), then in an outer column
+    party 2 names the row over (-h/2, -y_c, y_c, h/2); a crossed cell is an
+    undecided leaf.  The cells list the middle column, then each outer column
+    top to bottom.  For theta = pi/2 the Voronoi and Babai cells coincide: one
+    error-free cell, a one-leaf tree.  Outside the supported corner-cut
+    topology (requires cos(theta) < rho and rho*cos(theta) < 1) the
+    construction raises :class:`UnsupportedGeometryError` rather than guessing.
 
     The rates charge 4 bits per crossed cell, the cost of min(X1, X2).  That
     premise holds only for a cell split on its diagonal, an affine image of
@@ -329,8 +338,17 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     overflow makes infinite or NaN fails the third guard.
     """
     c, h = lat.c, lat.h
+    x_lo, x_hi, y_lo, y_hi = babai_cell(lat)
+    cells = []
+
+    def leaf(x, y, neighbor=None):
+        cells.append(SubdivisionCell((*x, *y), neighbor))
+        # A decided leaf keeps the Babai point, the origin.
+        return make_leaf(0 if neighbor is None else None, x, y)
+
     if c <= _GEOM_TOL * lat.rho:
-        return BabaiSubdivision(lat, (SubdivisionCell(babai_cell(lat)),))
+        tree = ProtocolTree(leaf((x_lo, x_hi), (y_lo, y_hi)), 0)
+        return BabaiSubdivision(lat, tuple(cells), tree)
     if c >= 1.0 - _GEOM_TOL:
         raise UnsupportedGeometryError(
             f"rho*cos(theta) = {c} >= 1: Babai cell is not refined by corner cuts"
@@ -342,24 +360,22 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
 
     m = 0.5 * min(c, 1.0 - c)
     y_c = (lat.rho * lat.rho - c) / (2.0 * h)
-    top = h / 2.0
     # The crossed rows are c(1-c)/(2h) tall; for a very tall cell y_c rounds onto h/2.
-    if not y_c < top:
+    if not y_c < y_hi:
         raise UnsupportedGeometryError(
             f"rho = {lat.rho!r}, theta = {lat.theta!r}: the crossed rows of the Babai cell"
             " are too thin for double precision"
         )
 
-    cells = (
-        SubdivisionCell((-m, m, -top, top)),
-        SubdivisionCell((-0.5, -m, y_c, top), (-1, 1)),
-        SubdivisionCell((-0.5, -m, -y_c, y_c)),
-        SubdivisionCell((-0.5, -m, -top, -y_c), (0, -1)),
-        SubdivisionCell((m, 0.5, y_c, top), (0, 1)),
-        SubdivisionCell((m, 0.5, -y_c, y_c)),
-        SubdivisionCell((m, 0.5, -top, -y_c), (1, -1)),
-    )
-    return BabaiSubdivision(lat, cells)
+    def column(x, upper, lower):
+        rows = [leaf(x, (y_c, y_hi), upper), leaf(x, (-y_c, y_c)), leaf(x, (y_lo, -y_c), lower)]
+        return make_node(2, x, (y_lo, y_hi), (y_lo, -y_c, y_c, y_hi), rows[::-1])
+
+    middle = leaf((-m, m), (y_lo, y_hi))
+    left = column((x_lo, -m), (-1, 1), (0, -1))
+    right = column((m, x_hi), (0, 1), (1, -1))
+    root = make_node(1, (x_lo, x_hi), (y_lo, y_hi), (x_lo, -m, m, x_hi), [left, middle, right])
+    return BabaiSubdivision(lat, tuple(cells), ProtocolTree(root, 1))
 
 
 @dataclass(frozen=True)
@@ -369,12 +385,16 @@ class RoundRates:
     Q is the round-1 column distribution (left, middle, right) with Q0 the
     error-free middle column; P is the conditional row distribution within an
     outer column (top, middle, bottom) with P0 the error-free middle row.
+    R_bar is the refinement's transcript entropy plus 4 bits per unit of
+    crossed mass.  N_bar counts locating the cell as one round, to which bit
+    exchange in a crossed cell adds 2 on average.
     """
 
     Q: tuple[float, ...]
     P: tuple[float, ...]
     Q0: float
     P0: float
+    R_bar: float
 
     def __post_init__(self) -> None:
         for vec in (self.Q, self.P):
@@ -384,32 +404,21 @@ class RoundRates:
                 raise ValueError(f"distribution {vec} has components outside [0,1]")
 
     @property
-    def R_bar(self) -> float:
-        """Average rate H(Q) + (1-Q0) H(P) + 4 (1-P0)(1-Q0) in bits."""
-        return entropy_bits(self.Q) + (1.0 - self.Q0) * entropy_bits(self.P) + 4.0 * (
-            1.0 - self.P0
-        ) * (1.0 - self.Q0)
-
-    @property
     def N_bar(self) -> float:
         """Average round count 1 + 2 (1-P0)(1-Q0)."""
         return 1.0 + 2.0 * (1.0 - self.P0) * (1.0 - self.Q0)
 
 
 def round_rates(sub: BabaiSubdivision) -> RoundRates:
-    """Column/row message distributions and the average rate and round count."""
+    """Column/row message distributions and the average rate, read off the tree."""
+    R_bar = sum_rate(sub.tree) + 4.0 * crossed_cell_mass(sub)
     if sub.degenerate:
-        return RoundRates((1.0,), (1.0,), 1.0, 1.0)
-    h = sub.lattice.h
-    mid_lo, mid_hi, _, _ = sub.cells[0].rect
-    out_lo, out_hi, _, _ = sub.cells[1].rect
-    q_mid = mid_hi - mid_lo  # Babai cell width is 1
-    q_outer = out_hi - out_lo
-    Q = (q_outer, q_mid, q_outer)
-
-    rows = [c.rect for c in sub.cells[1:4]]  # top, middle, bottom of one column
-    P = tuple((y_hi - y_lo) / h for _, _, y_lo, y_hi in rows)
-    return RoundRates(Q, P, Q[1], P[1])
+        return RoundRates((1.0,), (1.0,), 1.0, 1.0, R_bar)
+    cuts = sub.tree.root.bounds  # the Babai cell is 1 wide
+    Q = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+    rows = sub.tree.root.children[0].bounds[::-1]  # top to bottom of one column
+    P = tuple((a - b) / sub.lattice.h for a, b in zip(rows, rows[1:]))
+    return RoundRates(Q, P, Q[1], P[1], R_bar)
 
 
 def crossed_cell_mass(sub: BabaiSubdivision) -> float:

@@ -227,6 +227,171 @@ def round_count_by_doubling(sub, samples: int, seed: int) -> float:
     return float(rounds.sum()) / samples
 
 
+# The four corner neighbors of the origin whose Voronoi bisectors cross the
+# Babai cell, as coefficient pairs: (c, h), (c-1, h), (-c, -h), (1-c, -h).
+CORNER_NEIGHBORS = ((0, 1), (-1, 1), (0, -1), (1, -1))
+
+
+def voronoi_segment_boxes(c: Fraction, h: Fraction) -> list[tuple[tuple, tuple[int, int]]]:
+    """Bounding box of each Voronoi boundary segment inside the Babai cell, exactly.
+
+    For the lattice spanned by (1, 0) and (c, h) inside the corner-cut domain
+    (0 < c < 1, c^2 + h^2 > c), the bisector z.p = |p|^2 / 2 of each corner
+    neighbor p = (px, py), py = +-h, meets the horizontal edge
+    y = sign(py) h/2 at x = px/2 and the vertical edge x = sign(px)/2 at
+    y = (px^2 + h^2 - |px|) / (2 py).  The segment between the two points is
+    a diagonal of the returned Fraction row (x_lo, x_hi, y_lo, y_hi), listed
+    with the neighbor's coefficients.
+    """
+    boxes = []
+    for n1, n2 in CORNER_NEIGHBORS:
+        px, py = n1 + n2 * c, n2 * h
+        sx = 1 if px > 0 else -1
+        y_side = (px * px + h * h - sx * px) / (2 * py)
+        xs = sorted((px / 2, Fraction(sx, 2)))
+        ys = sorted((y_side, n2 * h / 2))
+        boxes.append(((*xs, *ys), (n1, n2)))
+    return boxes
+
+
+def box_masses_by_fractions(c, h) -> list[Fraction]:
+    """P(X in B_i) for X uniform on the Babai cell [-1/2, 1/2] x [-h/2, h/2].
+
+    Exact for rational c and h; a float is read as the rational it holds.
+    """
+    c, h = Fraction(c), Fraction(h)
+    return [(x_hi - x_lo) * (y_hi - y_lo) / h for (x_lo, x_hi, y_lo, y_hi), _ in
+            voronoi_segment_boxes(c, h)]
+
+
+def lattice_lower_bound(lat: Lattice2D) -> float:
+    """LB = 4 * sum_i P(B_i) + I(f(X); Z), a lower bound on any zero-error rate.
+
+    Let X be uniform on the Babai cell of the origin, f(X) its nearest lattice
+    point and Pi the transcript of any zero-error two-party protocol that
+    computes f.  Let B_1..B_4 be the bounding boxes of the four Voronoi
+    boundary segments inside the cell (:func:`voronoi_segment_boxes`), and Z
+    the index of the box holding X, or 0 outside them.
+
+    * Each segment is a diagonal of its box, and inside the box only the
+      origin and the one neighbor across the segment are nearest: the box
+      lies in the union of their two Voronoi cells.  Outside the boxes the
+      origin is nearest.  The tests check both with exact nearest points on
+      seeded points.
+    * Given X in B_i, the two coordinates are still independent and uniform,
+      so Pi restricted to B_i is a zero-error code for an affine image of the
+      ordering problem (the side of a diagonal), and H(Pi | Z = i) >= 4 by
+      the 4-bit converse.  H(Pi | Z = 0) >= 0.
+    * H(Pi) = I(Pi; Z) + H(Pi | Z).  Pi is a function of X and f(X) a function
+      of Pi, so data processing gives I(Pi; Z) >= I(f(X); Z).
+    * So H(Pi) >= 4 * sum_i P(B_i) + I(f(X); Z).  With b_i = P(B_i) and
+      B = sum_i b_i, f(X) is the neighbor with probability b_i / 2 and the
+      origin otherwise; H(f | Z = i) is 1 bit in a box and 0 outside, so
+      I(f(X); Z) = H(1 - B/2, b_1/2, ..., b_4/2) - B.
+
+    The masses are exact for the float values of c and h, then rounded once.
+    Needs 0 < rho*cos(theta) < 1 and rho > cos(theta).
+    """
+    masses = [float(b) for b in box_masses_by_fractions(lat.c, lat.h)]
+    total = math.fsum(masses)
+    probs = [1.0 - total / 2.0] + [b / 2.0 for b in masses]
+    f_entropy = math.fsum(-p * math.log2(p) for p in probs if p > 0.0)
+    return 4.0 * total + f_entropy - total
+
+
+def rate_by_closed_form(rates) -> float:
+    """H(Q) + (1-Q0) H(P) + 4 (1-P0)(1-Q0): the two-round scheme's rate from its messages."""
+
+    def entropy(probs) -> float:
+        return math.fsum(-p * math.log2(p) for p in probs if p > 0.0)
+
+    crossed = (1.0 - rates.P0) * (1.0 - rates.Q0)
+    return entropy(rates.Q) + (1.0 - rates.Q0) * entropy(rates.P) + 4.0 * crossed
+
+
+def tree_leaves(tree: ProtocolTree) -> list:
+    """Leaves of an eagerly built protocol tree, in message order."""
+    stack, leaves = [tree.root], []
+    while stack:
+        node = stack.pop()
+        if type(node) is _Leaf:
+            leaves.append(node)
+        else:
+            stack.extend(reversed(node.children))
+    return leaves
+
+
+def decode_refinement(sub, x) -> tuple[int, int]:
+    """Lattice point the refinement scheme decodes for x, as coefficients.
+
+    The scheme locates the cell holding x (half-open rows).  An error-free
+    cell decodes the origin.  A crossed cell runs the ordering problem on the
+    cell-normalized coordinates (u1, u2), reflected so that the neighbor's
+    corner is (1, 1): it decodes the neighbor when v1 + v2 > 1, that is, on the
+    far side of the cell's diagonal, the premise of the 4 bits it is charged.
+    """
+    x1, x2 = x
+    for sc in sub.cells:
+        x_lo, x_hi, y_lo, y_hi = sc.rect
+        if not (x_lo <= x1 < x_hi and y_lo <= x2 < y_hi):
+            continue
+        if sc.error_free:
+            return (0, 0)
+        n1, n2 = sc.neighbor
+        u1, u2 = (x1 - x_lo) / (x_hi - x_lo), (x2 - y_lo) / (y_hi - y_lo)
+        v1 = u1 if n1 + n2 * sub.lattice.c > 0 else 1.0 - u1
+        v2 = u2 if n2 > 0 else 1.0 - u2
+        return sc.neighbor if v1 + v2 > 1.0 else (0, 0)
+    raise ValueError(f"{x!r} lies outside the Babai cell")
+
+
+def _clipped_area(rect, half_planes) -> Fraction:
+    """Exact area of the rectangle ``rect`` cut by half-planes a x + b y <= d."""
+    x_lo, x_hi, y_lo, y_hi = rect
+    poly = [(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)]
+    for a, b, d in half_planes:
+        out = []
+        for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+            sp, sq = a * px + b * py - d, a * qx + b * qy - d
+            if sp <= 0:
+                out.append((px, py))
+            if (sp < 0 < sq) or (sq < 0 < sp):
+                t = sp / (sp - sq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        poly = out
+        if not poly:
+            return Fraction(0)
+    return abs(sum(px * qy - qx * py for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def mis_decoded_mass_by_fractions(sub) -> Fraction:
+    """Probability that :func:`decode_refinement` returns a point that is not nearest.
+
+    Exact arithmetic on the float rows of the crossed cells and the float
+    values of c and h.  In a crossed cell with neighbor p the nearest point
+    is p beyond the bisector z.p = |p|^2 / 2, and the decoder answers p
+    beyond the cell's diagonal; the mass is the area on which the two sides
+    differ, over the Babai cell's area h.
+    """
+    c, h = Fraction(sub.lattice.c), Fraction(sub.lattice.h)
+    total = Fraction(0)
+    for sc in sub.cells:
+        if sc.error_free:
+            continue
+        rect = tuple(map(Fraction, sc.rect))
+        x_lo, x_hi, y_lo, y_hi = rect
+        n1, n2 = sc.neighbor
+        px, py = n1 + n2 * c, n2 * h
+        a, b = (1 if px > 0 else -1) / (x_hi - x_lo), n2 / (y_hi - y_lo)
+        # The far sides, as a x + b y <= d, and their complements.
+        truth = (-px, -py, -(px * px + py * py) / 2)
+        diagonal = (-a, -b, -(a * (x_lo + x_hi) + b * (y_lo + y_hi)) / 2)
+        near_truth, near_diagonal = (tuple(-v for v in hp) for hp in (truth, diagonal))
+        total += _clipped_area(rect, [truth, near_diagonal])
+        total += _clipped_area(rect, [diagonal, near_truth])
+    return total / h
+
+
 def closed_form_truncated_bits(d: int) -> float:
     """Expected transcript entropy of depth-d bit exchange: decided levels plus tail."""
     return math.fsum(2.0**-k * 2 * k for k in range(1, d + 1)) + 2.0**-d * 2 * d

@@ -14,25 +14,35 @@ from latcomm import (
     babai_cell,
     babai_subdivision,
     crossed_cell_mass,
+    entropy_bits,
     nearest_lattice_point,
     nearest_plane_point,
     round_rates,
     simulate_round_count,
     subdivision_to_json,
+    sum_rate,
     voronoi_cell,
 )
 
 from oracles import (
+    CORNER_NEIGHBORS,
+    box_masses_by_fractions,
     brute_force_nearest,
     cell_area,
+    decode_refinement,
     generator_matrix,
     is_centrally_symmetric,
+    lattice_lower_bound,
+    mis_decoded_mass_by_fractions,
     nearest_by_enumeration,
     nearest_by_fractions,
     polygon_contains,
     random_corner_cut_lattice,
     random_superbase_lattice,
+    rate_by_closed_form,
     round_count_by_doubling,
+    tree_leaves,
+    voronoi_segment_boxes,
 )
 
 HEX = Lattice2D(1.0, math.pi / 3)
@@ -291,6 +301,22 @@ def test_babai_subdivision_degenerate():
     assert len(sub.cells) == 1
     assert sub.cells[0].error_free
     assert sub.cells[0].rect == babai_cell(Z2)
+    # One decided leaf at depth 0.
+    assert sub.tree.max_depth == 0
+    assert [(leaf.value, (*leaf.i1, *leaf.i2)) for leaf in tree_leaves(sub.tree)] == [
+        (0, babai_cell(Z2))
+    ]
+
+
+def test_babai_subdivision_tree_is_two_messages_and_not_compared():
+    sub = babai_subdivision(HEX)
+    again = babai_subdivision(HEX)
+    assert sub == again and hash(sub) == hash(again) and sub.tree is not again.tree
+    root = sub.tree.root
+    assert sub.tree.max_depth == 1 and root.speaker == 1 and len(root.bounds) == 4
+    assert all(column.speaker == 2 for column in (root.children[0], root.children[2]))
+    # Three decided leaves (middle column, two middle rows) and four undecided ones.
+    assert sorted(str(leaf.value) for leaf in tree_leaves(sub.tree)) == ["0"] * 3 + ["None"] * 4
 
 
 def test_babai_subdivision_hexagonal_structure():
@@ -403,6 +429,24 @@ def test_babai_subdivision_unsupported_geometries():
         babai_subdivision(Lattice2D(0.5, 0.3))  # rho <= cos(theta)
 
 
+@settings(max_examples=200, deadline=None)
+@given(subdivision_lattices())
+@example(HEX)
+@example(Z2)
+@example(Lattice2D(1.0, 1.0))
+def test_round_rates_come_from_the_refinement_tree(lat):
+    try:
+        sub = babai_subdivision(lat)
+    except UnsupportedGeometryError:
+        return
+    rates = round_rates(sub)
+    assert abs(rates.R_bar - rate_by_closed_form(rates)) <= 1e-15 * rates.R_bar
+    leaves = sorted(((*leaf.i1, *leaf.i2), leaf.value is None) for leaf in tree_leaves(sub.tree))
+    assert leaves == sorted((sc.rect, not sc.error_free) for sc in sub.cells)
+    probs = [cell["prob"] for cell in subdivision_to_json(sub)["cells"]]
+    assert abs(sum_rate(sub.tree) - entropy_bits(probs)) <= 1e-12
+
+
 def test_round_rates_degenerate():
     rates = round_rates(babai_subdivision(Z2))
     assert rates.Q0 == 1.0 and rates.P0 == 1.0
@@ -486,3 +530,137 @@ def test_voronoi_area_property(c_target, theta):
     lat = Lattice2D(rho, theta)
     poly = voronoi_cell(lat)
     assert abs(poly.area() - lat.h) <= 1e-9
+
+
+# Lattice, sum of the box masses, I(f; Z), lower bound and R_bar, to 4 places.
+LOWER_BOUND_TABLE = [
+    (HEX, 0.1667, 0.4138, 1.0805, 2.7925),
+    (Lattice2D(2.0, 1.2), 0.0287, 0.1063, 0.2211, 2.0115),
+    (Lattice2D(1.0, 1.0), 0.1754, 0.4283, 1.1299, 2.9883),
+    (Lattice2D(0.9, 1.1), 0.1878, 0.4470, 1.1980, 3.2434),
+]
+
+
+@pytest.mark.parametrize("lat, mass, info, bound, r_bar", LOWER_BOUND_TABLE)
+def test_lattice_lower_bound_table(lat, mass, info, bound, r_bar):
+    total = float(sum(box_masses_by_fractions(lat.c, lat.h)))
+    lb = lattice_lower_bound(lat)
+    assert total == pytest.approx(mass, abs=1e-4)
+    assert lb - 4.0 * total == pytest.approx(info, abs=1e-4)
+    assert lb == pytest.approx(bound, abs=1e-4)
+    assert round_rates(babai_subdivision(lat)).R_bar == pytest.approx(r_bar, abs=1e-4)
+
+
+def test_box_masses_are_exact_for_rational_inputs():
+    for c, h in [(Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(2)),
+                 (Fraction(7, 10), Fraction(3, 4))]:
+        masses = box_masses_by_fractions(c, h)
+        height = c * (1 - c) / (2 * h)  # h/2 - y_c
+        assert masses == [w * height / h for w in ((1 - c) / 2, c / 2, (1 - c) / 2, c / 2)]
+        assert sum(masses) == c * (1 - c) / (2 * h * h)
+    # At c = 1/2 the boxes are the crossed cells.
+    assert float(sum(box_masses_by_fractions(HEX.c, HEX.h))) == pytest.approx(
+        crossed_cell_mass(babai_subdivision(HEX)), abs=1e-15
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivision_lattices())
+@example(HEX)
+@example(Lattice2D(2.0, 1.2))
+def test_lattice_lower_bound_is_below_r_bar(lat):
+    try:
+        sub = babai_subdivision(lat)
+    except UnsupportedGeometryError:
+        return
+    if sub.degenerate:  # no Voronoi boundary inside the Babai cell
+        return
+    assert 0.0 <= lattice_lower_bound(lat) <= round_rates(sub).R_bar
+    # Each box lies in the crossed cell of its neighbor, up to the rounding of
+    # the cell's cuts: y_c = (rho^2 - c) / (2h) carries an error near ulp(rho^2) / h.
+    crossed = {sc.neighbor: sc.rect for sc in sub.cells if not sc.error_free}
+    tol = 1e-15 * (1.0 + lat.rho**2) / lat.h
+    for (x_lo, x_hi, y_lo, y_hi), neighbor in voronoi_segment_boxes(Fraction(lat.c), Fraction(lat.h)):
+        cx_lo, cx_hi, cy_lo, cy_hi = crossed[neighbor]
+        assert cx_lo - tol <= x_lo and x_hi <= cx_hi + tol
+        assert cy_lo - tol <= y_lo and y_hi <= cy_hi + tol
+
+
+@pytest.mark.parametrize("lat", [row[0] for row in LOWER_BOUND_TABLE])
+def test_each_box_meets_only_the_origin_and_its_neighbor(lat):
+    rng = np.random.default_rng(0xB0C5)
+    boxes = voronoi_segment_boxes(Fraction(lat.c), Fraction(lat.h))
+    for (x_lo, x_hi, y_lo, y_hi), neighbor in boxes:
+        nearest = {
+            nearest_by_fractions(lat, (float(x_lo + (x_hi - x_lo) * Fraction(u1)),
+                                       float(y_lo + (y_hi - y_lo) * Fraction(u2))))[1]
+            for u1, u2 in rng.random((24, 2)).tolist()
+        }
+        assert nearest == {(0, 0), neighbor}
+    cx_lo, cx_hi, cy_lo, cy_hi = babai_cell(lat)
+    for u1, u2 in rng.random((40, 2)).tolist():
+        x = (cx_lo + u1 * (cx_hi - cx_lo), cy_lo + u2 * (cy_hi - cy_lo))
+        if not any(b[0] <= x[0] <= b[1] and b[2] <= x[1] <= b[3] for b, _ in boxes):
+            assert nearest_by_fractions(lat, x)[1] == (0, 0)
+
+
+def babai_points(lat, n, seed):
+    """n seeded points, uniform on the Babai cell of lat."""
+    x_lo, x_hi, y_lo, y_hi = babai_cell(lat)
+    pts = np.random.default_rng(seed).random((n, 2))
+    return list(zip((x_lo + pts[:, 0] * (x_hi - x_lo)).tolist(),
+                    (y_lo + pts[:, 1] * (y_hi - y_lo)).tolist()))
+
+
+def mis_decoded(lat, n=2000, seed=0xDEC0):
+    sub = babai_subdivision(lat)
+    return [x for x in babai_points(lat, n, seed)
+            if lat.point(*decode_refinement(sub, x)) != nearest_lattice_point(lat, x)]
+
+
+def test_mis_decoded_mass_by_fractions_matches_the_closed_form():
+    expected = {HEX: 0.0, Lattice2D(2.0, 1.2): 0.00645, Lattice2D(1.0, 1.0): 0.00707}
+    for lat, approx in expected.items():
+        c, h = Fraction(lat.c), Fraction(lat.h)
+        y_c = (c * c + h * h - c) / (2 * h)
+        closed = abs(1 - 2 * c) * (h / 2 - y_c) / (2 * h)
+        mass = mis_decoded_mass_by_fractions(babai_subdivision(lat))
+        assert abs(mass - closed) <= Fraction(1, 10**15)
+        assert float(mass) == pytest.approx(approx, abs=1e-5)
+    # On the hexagonal lattice only the rounding of c = 0.5000000000000001 is left.
+    assert mis_decoded_mass_by_fractions(babai_subdivision(HEX)) < 1e-16
+
+
+def test_decoding_matches_the_nearest_point_on_the_hexagonal_lattice():
+    assert mis_decoded(HEX) == []
+
+
+def test_decoding_errs_only_in_the_two_miscut_triangles():
+    # For c != 1/2 two crossed cells are wider than the boundary segment's box.
+    # Between the cell's diagonal and the segment lies a triangle with corners
+    # (sign(px)/2, +-y_c), (px/2, +-h/2) and (sign(px) m, +-h/2).
+    lat = Lattice2D(2.0, 1.2)
+    c, h = lat.c, lat.h
+    y_c = (lat.rho**2 - c) / (2.0 * h)
+    m = min(c, 1.0 - c) / 2.0
+    triangles = []
+    for n1, n2 in CORNER_NEIGHBORS:
+        px = n1 + n2 * c
+        sx = 1.0 if px > 0 else -1.0
+        if abs(px / 2.0 - sx * m) > 1e-12:
+            triangles.append(((sx / 2.0, n2 * y_c), (px / 2.0, n2 * h / 2.0), (sx * m, n2 * h / 2.0)))
+    assert len(triangles) == 2
+
+    def inside(x, triangle):
+        sides = [(bx - ax) * (x[1] - ay) - (by - ay) * (x[0] - ax)
+                 for (ax, ay), (bx, by) in zip(triangle, triangle[1:] + triangle[:1])]
+        return all(s >= -1e-12 for s in sides) or all(s <= 1e-12 for s in sides)
+
+    wrong = mis_decoded(lat)
+    assert wrong
+    assert all(any(inside(x, t) for t in triangles) for x in wrong)
+
+
+@pytest.mark.xfail(strict=True, reason="for c != 1/2 two crossed cells are not split on their diagonal")
+def test_decoding_matches_the_nearest_point_on_a_skewed_lattice():
+    assert mis_decoded(Lattice2D(2.0, 1.2)) == []

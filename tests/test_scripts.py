@@ -24,8 +24,11 @@ def test_convergence_table(tmp_path, monkeypatch, capsys):
 
 def test_subdivision_report(tmp_path, monkeypatch, capsys):
     out = run_script("subdivision_report.py", tmp_path, monkeypatch, capsys)
-    headers = [line for line in out.splitlines() if line.startswith("--- rho=")]
+    lines = out.splitlines()
+    headers = [line for line in lines if line.startswith("--- rho=")]
     assert len(headers) == 4
+    # The hexagonal lattice's rates.
+    assert "R_bar=2.792481 bits, N_bar=1.333333 rounds, crossed mass=0.166667" in lines
 
 
 def test_ratio_curve(tmp_path, monkeypatch, capsys):
