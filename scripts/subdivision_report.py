@@ -30,16 +30,16 @@ CASES = [
 def main() -> None:
     for rho, theta in CASES:
         lat = Lattice2D(rho, theta)
-        sub = babai_subdivision(lat)
-        rates = round_rates(sub)
+        tree = babai_subdivision(lat)
+        rates = round_rates(tree)
         print(f"--- rho={rho}, theta={theta:.6f} ---")
-        print(json.dumps(subdivision_to_json(sub), sort_keys=True))
+        print(json.dumps(subdivision_to_json(tree), sort_keys=True))
         print(f"Q={rates.Q} Q0={rates.Q0:.6f}")
         print(f"P={rates.P} P0={rates.P0:.6f}")
         print(f"R_bar={rates.R_bar:.6f} bits, N_bar={rates.N_bar:.6f} rounds, "
-              f"crossed mass={crossed_cell_mass(sub):.6f}")
-        if not sub.degenerate:
-            mc = simulate_round_count(sub, 100_000, seed=DEFAULT_SEED)
+              f"crossed mass={crossed_cell_mass(tree):.6f}")
+        if tree.max_depth > 0:  # the degenerate refinement is one leaf and sends nothing
+            mc = simulate_round_count(tree, 100_000, seed=DEFAULT_SEED)
             print(f"monte carlo rounds: {mc:.4f}")
         print()
 

@@ -1,10 +1,11 @@
 """Desk-scale machinery for interactive ordering of two uniform variables.
 
 Subpackages cover the 2-D lattice geometry the problem comes from (Babai and
-Voronoi cells, the seven-rectangle refinement and its message rates),
-rectangular partitions of the unit square with their entropy accounting, an
-interactive protocol engine with the bit-exchange construction, and the
-verification suite showing the four-bit total is optimal.
+Voronoi cells, and the seven-rectangle refinement of the Babai cell, a
+protocol tree whose messages give the rates), rectangular partitions of the
+unit square with their entropy accounting, an interactive protocol engine
+with the bit-exchange construction, and the verification suite showing the
+four-bit total is optimal.
 """
 
 from .partition_core import (
@@ -21,12 +22,10 @@ from .partition_core import (
     satisfies_staircase_bounds,
 )
 from .lattice_geometry import (
-    BabaiSubdivision,
     ConvexPolygon,
     Lattice2D,
     Point2,
     RoundRates,
-    SubdivisionCell,
     UnsupportedGeometryError,
     babai_cell,
     babai_subdivision,

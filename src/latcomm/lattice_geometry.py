@@ -18,23 +18,27 @@ row cuts at +-y_c then tile the cell into seven rectangles: party 1 names
 the column, then in an outer column party 2 names the row.  The middle column
 and the middle rows are decided; the two corner-adjacent rows of each outer
 column are crossed.
+
+:func:`babai_subdivision` returns that :class:`ProtocolTree`, the refinement's
+only representation.  The readers take the tree: the Babai cell is the root's
+rectangle, a crossed cell is an undecided leaf, and the degenerate refinement
+is a tree whose root is a leaf.  They list the cells breadth first, the middle
+column and then each outer column from top to bottom.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .protocol_engine import ProtocolTree, make_leaf, make_node, sum_rate
-from .protocol_engine import _stopping_rounds, sample_inputs
+from .protocol_engine import _Leaf, _stopping_rounds, sample_inputs
 
 __all__ = [
     "Lattice2D",
     "Point2",
     "ConvexPolygon",
-    "SubdivisionCell",
-    "BabaiSubdivision",
     "RoundRates",
     "UnsupportedGeometryError",
     "babai_cell",
@@ -99,11 +103,6 @@ def babai_cell(lat: Lattice2D) -> tuple[float, float, float, float]:
     """Nearest-plane cell of the origin, as the row (-1/2, 1/2, -h/2, h/2)."""
     half_h = lat.h / 2.0
     return (-0.5, 0.5, -half_h, half_h)
-
-
-def _area(row: tuple[float, float, float, float]) -> float:
-    x_lo, x_hi, y_lo, y_hi = row
-    return (x_hi - x_lo) * (y_hi - y_lo)
 
 
 def nearest_plane_point(
@@ -280,50 +279,17 @@ def nearest_lattice_point(lat: Lattice2D, x: Point2 | tuple[float, float]) -> Po
     return lat.point(n1, n2)
 
 
-@dataclass(frozen=True)
-class SubdivisionCell:
-    """A row (x_lo, x_hi, y_lo, y_hi) of the refinement and, for a crossed
-    cell, the coefficients of the lattice point across its Voronoi boundary."""
-
-    rect: tuple[float, float, float, float]
-    neighbor: Optional[tuple[int, int]] = None
-
-    @property
-    def error_free(self) -> bool:
-        """True iff no Voronoi boundary segment crosses the cell."""
-        return self.neighbor is None
-
-
-@dataclass(frozen=True)
-class BabaiSubdivision:
-    """Refinement of the Babai cell against the Voronoi boundary, and its protocol ``tree``.
-
-    Equality and hashing ignore the tree.
-    """
-
-    lattice: Lattice2D
-    cells: tuple[SubdivisionCell, ...]
-    tree: ProtocolTree = field(compare=False)
-
-    @property
-    def babai_cell(self) -> tuple[float, float, float, float]:
-        return babai_cell(self.lattice)
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.cells) == 1
-
-
-def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
-    """Seven-rectangle refinement of the Babai cell (degenerate: one cell).
+def babai_subdivision(lat: Lattice2D) -> ProtocolTree:
+    """Seven-rectangle refinement of the Babai cell, as a two-party protocol tree.
 
     Party 1 names the column over (-1/2, -m, m, 1/2), then in an outer column
-    party 2 names the row over (-h/2, -y_c, y_c, h/2); a crossed cell is an
-    undecided leaf.  The cells list the middle column, then each outer column
-    top to bottom.  For theta = pi/2 the Voronoi and Babai cells coincide: one
-    error-free cell, a one-leaf tree.  Outside the supported corner-cut
-    topology (requires cos(theta) < rho and rho*cos(theta) < 1) the
-    construction raises :class:`UnsupportedGeometryError` rather than guessing.
+    party 2 names the row over (-h/2, -y_c, y_c, h/2).  The root's intervals
+    are the Babai cell; a decided leaf keeps the Babai point (value 0) and a
+    crossed cell is an undecided leaf.  For theta = pi/2 the Voronoi and Babai
+    cells coincide: the tree is one decided leaf at depth 0.  Outside the
+    supported corner-cut topology (requires cos(theta) < rho and
+    rho*cos(theta) < 1) the construction raises
+    :class:`UnsupportedGeometryError` rather than guessing.
 
     The rates charge 4 bits per crossed cell, the cost of min(X1, X2).  That
     premise holds only for a cell split on its diagonal, an affine image of
@@ -339,16 +305,8 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
     """
     c, h = lat.c, lat.h
     x_lo, x_hi, y_lo, y_hi = babai_cell(lat)
-    cells = []
-
-    def leaf(x, y, neighbor=None):
-        cells.append(SubdivisionCell((*x, *y), neighbor))
-        # A decided leaf keeps the Babai point, the origin.
-        return make_leaf(0 if neighbor is None else None, x, y)
-
     if c <= _GEOM_TOL * lat.rho:
-        tree = ProtocolTree(leaf((x_lo, x_hi), (y_lo, y_hi)), 0)
-        return BabaiSubdivision(lat, tuple(cells), tree)
+        return ProtocolTree(make_leaf(0, (x_lo, x_hi), (y_lo, y_hi)), 0)
     if c >= 1.0 - _GEOM_TOL:
         raise UnsupportedGeometryError(
             f"rho*cos(theta) = {c} >= 1: Babai cell is not refined by corner cuts"
@@ -367,15 +325,18 @@ def babai_subdivision(lat: Lattice2D) -> BabaiSubdivision:
             " are too thin for double precision"
         )
 
-    def column(x, upper, lower):
-        rows = [leaf(x, (y_c, y_hi), upper), leaf(x, (-y_c, y_c)), leaf(x, (y_lo, -y_c), lower)]
-        return make_node(2, x, (y_lo, y_hi), (y_lo, -y_c, y_c, y_hi), rows[::-1])
+    def column(x):
+        rows = [
+            make_leaf(None, x, (y_lo, -y_c)),
+            make_leaf(0, x, (-y_c, y_c)),
+            make_leaf(None, x, (y_c, y_hi)),
+        ]
+        return make_node(2, x, (y_lo, y_hi), (y_lo, -y_c, y_c, y_hi), rows)
 
-    middle = leaf((-m, m), (y_lo, y_hi))
-    left = column((x_lo, -m), (-1, 1), (0, -1))
-    right = column((m, x_hi), (0, 1), (1, -1))
-    root = make_node(1, (x_lo, x_hi), (y_lo, y_hi), (x_lo, -m, m, x_hi), [left, middle, right])
-    return BabaiSubdivision(lat, tuple(cells), ProtocolTree(root, 1))
+    middle = make_leaf(0, (-m, m), (y_lo, y_hi))
+    columns = [column((x_lo, -m)), middle, column((m, x_hi))]
+    root = make_node(1, (x_lo, x_hi), (y_lo, y_hi), (x_lo, -m, m, x_hi), columns)
+    return ProtocolTree(root, 1)
 
 
 @dataclass(frozen=True)
@@ -392,8 +353,6 @@ class RoundRates:
 
     Q: tuple[float, ...]
     P: tuple[float, ...]
-    Q0: float
-    P0: float
     R_bar: float
 
     def __post_init__(self) -> None:
@@ -404,30 +363,63 @@ class RoundRates:
                 raise ValueError(f"distribution {vec} has components outside [0,1]")
 
     @property
+    def Q0(self) -> float:
+        """Mass of the middle column."""
+        return self.Q[len(self.Q) // 2]
+
+    @property
+    def P0(self) -> float:
+        """Conditional mass of the middle row of an outer column."""
+        return self.P[len(self.P) // 2]
+
+    @property
     def N_bar(self) -> float:
         """Average round count 1 + 2 (1-P0)(1-Q0)."""
         return 1.0 + 2.0 * (1.0 - self.P0) * (1.0 - self.Q0)
 
 
-def round_rates(sub: BabaiSubdivision) -> RoundRates:
+def _area(node) -> float:
+    """Area of a tree node's rectangle, the product of its two intervals."""
+    (x_lo, x_hi), (y_lo, y_hi) = node.i1, node.i2
+    return (x_hi - x_lo) * (y_hi - y_lo)
+
+
+def _cells(tree: ProtocolTree) -> list[_Leaf]:
+    """The leaves breadth first, party 1's messages left to right and party 2's top to bottom.
+
+    For the refinement: the middle column, then each outer column top to bottom.
+    """
+    cells, level = [], [tree.root]
+    while level:
+        cells += [node for node in level if type(node) is _Leaf]
+        level = [
+            child
+            for node in level
+            if type(node) is not _Leaf
+            for child in (node.children if node.speaker == 1 else node.children[::-1])
+        ]
+    return cells
+
+
+def round_rates(tree: ProtocolTree) -> RoundRates:
     """Column/row message distributions and the average rate, read off the tree."""
-    R_bar = sum_rate(sub.tree) + 4.0 * crossed_cell_mass(sub)
-    if sub.degenerate:
-        return RoundRates((1.0,), (1.0,), 1.0, 1.0, R_bar)
-    cuts = sub.tree.root.bounds  # the Babai cell is 1 wide
+    R_bar = sum_rate(tree) + 4.0 * crossed_cell_mass(tree)
+    root = tree.root
+    if type(root) is _Leaf:
+        return RoundRates((1.0,), (1.0,), R_bar)
+    cuts = root.bounds  # the Babai cell is 1 wide
     Q = tuple(b - a for a, b in zip(cuts, cuts[1:]))
-    rows = sub.tree.root.children[0].bounds[::-1]  # top to bottom of one column
-    P = tuple((a - b) / sub.lattice.h for a, b in zip(rows, rows[1:]))
-    return RoundRates(Q, P, Q[1], P[1], R_bar)
+    rows = root.children[0].bounds[::-1]  # top to bottom of one column
+    P = tuple((a - b) / (rows[0] - rows[-1]) for a, b in zip(rows, rows[1:]))
+    return RoundRates(Q, P, R_bar)
 
 
-def crossed_cell_mass(sub: BabaiSubdivision) -> float:
-    """Total probability of the non-error-free cells under the uniform measure."""
-    area = _area(sub.babai_cell)
-    return math.fsum(_area(c.rect) for c in sub.cells if not c.error_free) / area
+def crossed_cell_mass(tree: ProtocolTree) -> float:
+    """Total probability of the crossed (undecided) cells under the uniform measure."""
+    return math.fsum(_area(c) for c in _cells(tree) if c.value is None) / _area(tree.root)
 
 
-def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> float:
+def simulate_round_count(tree: ProtocolTree, samples: int, seed: int) -> float:
     """Monte Carlo mean round count of the two-phase refinement protocol.
 
     Round 1 locates the subdivision cell.  A crossed cell triggers bit
@@ -436,8 +428,8 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
     of :func:`sample_inputs`, which rejects ``samples < 1``, mapped onto the
     Babai cell and tallied chunk by chunk.
     """
-    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
-    crossed = [sc.rect for sc in sub.cells if not sc.error_free]
+    (cx_lo, cx_hi), (cy_lo, cy_hi) = tree.root.i1, tree.root.i2
+    crossed = [(*c.i1, *c.i2) for c in _cells(tree) if c.value is None]
     total = samples  # round 1, for every point
     for pairs in sample_inputs(seed, samples):
         xs = pairs[:, 0] * (cx_hi - cx_lo) + cx_lo
@@ -451,18 +443,18 @@ def simulate_round_count(sub: BabaiSubdivision, samples: int, seed: int) -> floa
     return total / samples
 
 
-def subdivision_to_json(sub: BabaiSubdivision) -> dict:
+def subdivision_to_json(tree: ProtocolTree) -> dict:
     """JSON-ready description: babai_cell extents plus per-cell rect/flag/prob."""
-    cell = sub.babai_cell
-    area = _area(cell)
+    root = tree.root
+    area = _area(root)
     return {
-        "babai_cell": list(cell),
+        "babai_cell": [*root.i1, *root.i2],
         "cells": [
             {
-                "rect": list(c.rect),
-                "error_free": c.error_free,
-                "prob": _area(c.rect) / area,
+                "rect": [*c.i1, *c.i2],
+                "error_free": c.value is not None,
+                "prob": _area(c) / area,
             }
-            for c in sub.cells
+            for c in _cells(tree)
         ],
     }

@@ -199,7 +199,7 @@ def walk_totals(tree: ProtocolTree, pairs: np.ndarray) -> tuple[float, int]:
     return math.fsum(n * math.log2(k) for k, n in messages.items()), total_rounds
 
 
-def round_count_by_doubling(sub, samples: int, seed: int) -> float:
+def round_count_by_doubling(tree: ProtocolTree, samples: int, seed: int) -> float:
     """Mean round count of the two-round lattice refinement, by the doubling oracle.
 
     Draws the documented stream: chunks of 2^16 uniform pairs (u1, u2), chunk
@@ -212,14 +212,14 @@ def round_count_by_doubling(sub, samples: int, seed: int) -> float:
         np.random.default_rng(child).random((min(2**16, samples - j * 2**16), 2))
         for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks))
     ])
-    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
+    (cx_lo, cx_hi), (cy_lo, cy_hi) = tree.root.i1, tree.root.i2
     xs = pairs[:, 0] * (cx_hi - cx_lo) + cx_lo
     ys = pairs[:, 1] * (cy_hi - cy_lo) + cy_lo
     rounds = np.ones(samples, dtype=np.int64)
-    for sc in sub.cells:
-        if sc.error_free:
+    for leaf in tree_leaves(tree):
+        if leaf.value is not None:
             continue
-        x_lo, x_hi, y_lo, y_hi = sc.rect
+        (x_lo, x_hi), (y_lo, y_hi) = leaf.i1, leaf.i2
         inside = (xs >= x_lo) & (xs < x_hi) & (ys >= y_lo) & (ys < y_hi)
         u1 = (xs[inside] - x_lo) / (x_hi - x_lo)
         u2 = (ys[inside] - y_lo) / (y_hi - y_lo)
@@ -321,27 +321,50 @@ def tree_leaves(tree: ProtocolTree) -> list:
     return leaves
 
 
-def decode_refinement(sub, x) -> tuple[int, int]:
+def babai_corners_in(lat: Lattice2D, rect) -> list[tuple[float, float]]:
+    """Corners of the Babai cell [-1/2, 1/2] x [-h/2, h/2] that lie in the closed row ``rect``."""
+    x_lo, x_hi, y_lo, y_hi = rect
+    half_h = lat.h / 2.0
+    return [(x, y) for x in (-0.5, 0.5) for y in (-half_h, half_h)
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
+
+
+@lru_cache(maxsize=None)
+def crossed_neighbor(lat: Lattice2D, rect: tuple) -> tuple[int, int]:
+    """Coefficients of the lattice point across a crossed cell's Voronoi boundary.
+
+    A crossed cell holds one corner of the Babai cell, which the boundary
+    segment inside the cell cuts off from the origin; the point across the
+    segment is the nearest lattice point to that corner, found exactly by
+    :func:`nearest_by_fractions`, whose cost grows as r^2 / h for a corner at
+    distance r from its Babai point: it suits lattices with rho near 1.
+    """
+    (corner,) = babai_corners_in(lat, rect)
+    return nearest_by_fractions(lat, corner)[1]
+
+
+def decode_refinement(lat: Lattice2D, tree: ProtocolTree, x) -> tuple[int, int]:
     """Lattice point the refinement scheme decodes for x, as coefficients.
 
-    The scheme locates the cell holding x (half-open rows).  An error-free
-    cell decodes the origin.  A crossed cell runs the ordering problem on the
-    cell-normalized coordinates (u1, u2), reflected so that the neighbor's
-    corner is (1, 1): it decodes the neighbor when v1 + v2 > 1, that is, on the
-    far side of the cell's diagonal, the premise of the 4 bits it is charged.
+    The scheme locates the leaf of the refinement ``tree`` holding x (half-open
+    rows).  A decided leaf decodes the origin.  A crossed cell runs the
+    ordering problem on the cell-normalized coordinates (u1, u2), reflected so
+    that the corner of its neighbor (:func:`crossed_neighbor`) is (1, 1): it
+    decodes the neighbor when v1 + v2 > 1, that is, on the far side of the
+    cell's diagonal, the premise of the 4 bits it is charged.
     """
     x1, x2 = x
-    for sc in sub.cells:
-        x_lo, x_hi, y_lo, y_hi = sc.rect
+    for leaf in tree_leaves(tree):
+        (x_lo, x_hi), (y_lo, y_hi) = leaf.i1, leaf.i2
         if not (x_lo <= x1 < x_hi and y_lo <= x2 < y_hi):
             continue
-        if sc.error_free:
+        if leaf.value is not None:
             return (0, 0)
-        n1, n2 = sc.neighbor
+        neighbor = n1, n2 = crossed_neighbor(lat, (x_lo, x_hi, y_lo, y_hi))
         u1, u2 = (x1 - x_lo) / (x_hi - x_lo), (x2 - y_lo) / (y_hi - y_lo)
-        v1 = u1 if n1 + n2 * sub.lattice.c > 0 else 1.0 - u1
+        v1 = u1 if n1 + n2 * lat.c > 0 else 1.0 - u1
         v2 = u2 if n2 > 0 else 1.0 - u2
-        return sc.neighbor if v1 + v2 > 1.0 else (0, 0)
+        return neighbor if v1 + v2 > 1.0 else (0, 0)
     raise ValueError(f"{x!r} lies outside the Babai cell")
 
 
@@ -364,23 +387,23 @@ def _clipped_area(rect, half_planes) -> Fraction:
     return abs(sum(px * qy - qx * py for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]))) / 2
 
 
-def mis_decoded_mass_by_fractions(sub) -> Fraction:
+def mis_decoded_mass_by_fractions(lat: Lattice2D, tree: ProtocolTree) -> Fraction:
     """Probability that :func:`decode_refinement` returns a point that is not nearest.
 
-    Exact arithmetic on the float rows of the crossed cells and the float
+    Exact arithmetic on the float rows of the tree's crossed cells and the float
     values of c and h.  In a crossed cell with neighbor p the nearest point
     is p beyond the bisector z.p = |p|^2 / 2, and the decoder answers p
     beyond the cell's diagonal; the mass is the area on which the two sides
     differ, over the Babai cell's area h.
     """
-    c, h = Fraction(sub.lattice.c), Fraction(sub.lattice.h)
+    c, h = Fraction(lat.c), Fraction(lat.h)
     total = Fraction(0)
-    for sc in sub.cells:
-        if sc.error_free:
+    for leaf in tree_leaves(tree):
+        if leaf.value is not None:
             continue
-        rect = tuple(map(Fraction, sc.rect))
+        n1, n2 = crossed_neighbor(lat, (*leaf.i1, *leaf.i2))
+        rect = tuple(map(Fraction, (*leaf.i1, *leaf.i2)))
         x_lo, x_hi, y_lo, y_hi = rect
-        n1, n2 = sc.neighbor
         px, py = n1 + n2 * c, n2 * h
         a, b = (1 if px > 0 else -1) / (x_hi - x_lo), n2 / (y_hi - y_lo)
         # The far sides, as a x + b y <= d, and their complements.

@@ -18,9 +18,11 @@ from latcomm.cli import DEFAULT_SEED, main
 from oracles import (
     cell_area,
     closed_form_truncated_bits,
+    crossed_neighbor,
     random_majorizing_pair,
     random_superbase_lattice,
     random_zero_error_partition,
+    tree_leaves,
 )
 
 HEX = lc.Lattice2D(1.0, math.pi / 3)
@@ -117,8 +119,8 @@ def test_criterion_8_lattice_geometry_suite():
 
     # Babai vs brute force over 1e5 points in the hexagonal Babai cell,
     # classified through the subdivision.
-    sub = lc.babai_subdivision(HEX)
-    cell = sub.babai_cell
+    tree = lc.babai_subdivision(HEX)
+    cell = lc.babai_cell(HEX)
     cx_lo, cx_hi, cy_lo, cy_hi = cell
     n = 100_000
     pts = rng.random((n, 2))
@@ -132,17 +134,18 @@ def test_criterion_8_lattice_geometry_suite():
 
     classify_ok = True
     covered = np.zeros(n, dtype=bool)
-    for sc in sub.cells:
-        x_lo, x_hi, y_lo, y_hi = sc.rect
+    cells = [((*leaf.i1, *leaf.i2), leaf.value is not None) for leaf in tree_leaves(tree)]
+    for rect, decided in cells:
+        x_lo, x_hi, y_lo, y_hi = rect
         mask = (
             (pts[:, 0] >= x_lo) & (pts[:, 0] < x_hi)
             & (pts[:, 1] >= y_lo) & (pts[:, 1] < y_hi)
         )
         covered |= mask
-        if sc.error_free:
+        if decided:
             classify_ok = classify_ok and bool(agrees[mask].all())
         else:
-            lam = HEX.point(*sc.neighbor)
+            lam = HEX.point(*crossed_neighbor(HEX, rect))
             inside = (
                 pts[mask, 0] * lam.x1 + pts[mask, 1] * lam.x2
                 < (lam.x1**2 + lam.x2**2) / 2
@@ -160,14 +163,14 @@ def test_criterion_8_lattice_geometry_suite():
         classify_ok = classify_ok and math.hypot(babai_pt.x1, babai_pt.x2) < 1e-12
 
     seven_ok = (
-        len(sub.cells) == 7
-        and sum(c.error_free for c in sub.cells) == 3
-        and abs(math.fsum(cell_area(c.rect) for c in sub.cells) - cell_area(cell)) <= 1e-12
+        len(cells) == 7
+        and sum(decided for _, decided in cells) == 3
+        and abs(math.fsum(cell_area(rect) for rect, _ in cells) - cell_area(cell)) <= 1e-12
     )
 
-    rates = lc.round_rates(sub)
-    mass_ok = abs((1 - rates.P0) * (1 - rates.Q0) - lc.crossed_cell_mass(sub)) <= 1e-12
-    mc_rounds = lc.simulate_round_count(sub, 200_000, seed=DEFAULT_SEED)
+    rates = lc.round_rates(tree)
+    mass_ok = abs((1 - rates.P0) * (1 - rates.Q0) - lc.crossed_cell_mass(tree)) <= 1e-12
+    mc_rounds = lc.simulate_round_count(tree, 200_000, seed=DEFAULT_SEED)
     mc_ok = abs(mc_rounds - rates.N_bar) < 0.01
 
     ok = area_ok and classify_ok and seven_ok and mass_ok and mc_ok

@@ -26,9 +26,11 @@ from latcomm import (
 
 from oracles import (
     CORNER_NEIGHBORS,
+    babai_corners_in,
     box_masses_by_fractions,
     brute_force_nearest,
     cell_area,
+    crossed_neighbor,
     decode_refinement,
     generator_matrix,
     is_centrally_symmetric,
@@ -295,52 +297,55 @@ def test_nearest_points_reject_a_query_far_from_the_origin():
         nearest_plane_point(HEX, x)
 
 
+def rows(tree):
+    """(rect, decided) of each leaf of the refinement, in the tree's message order."""
+    return [((*leaf.i1, *leaf.i2), leaf.value is not None) for leaf in tree_leaves(tree)]
+
+
 def test_babai_subdivision_degenerate():
-    sub = babai_subdivision(Z2)
-    assert sub.degenerate
-    assert len(sub.cells) == 1
-    assert sub.cells[0].error_free
-    assert sub.cells[0].rect == babai_cell(Z2)
-    # One decided leaf at depth 0.
-    assert sub.tree.max_depth == 0
-    assert [(leaf.value, (*leaf.i1, *leaf.i2)) for leaf in tree_leaves(sub.tree)] == [
-        (0, babai_cell(Z2))
-    ]
+    tree = babai_subdivision(Z2)
+    # One decided leaf at depth 0: the root is the Babai cell.
+    assert tree.max_depth == 0
+    assert tree_leaves(tree) == [tree.root]
+    assert (tree.root.value, (*tree.root.i1, *tree.root.i2)) == (0, babai_cell(Z2))
+    assert subdivision_to_json(tree) == {
+        "babai_cell": list(babai_cell(Z2)),
+        "cells": [{"rect": list(babai_cell(Z2)), "error_free": True, "prob": 1.0}],
+    }
 
 
-def test_babai_subdivision_tree_is_two_messages_and_not_compared():
-    sub = babai_subdivision(HEX)
-    again = babai_subdivision(HEX)
-    assert sub == again and hash(sub) == hash(again) and sub.tree is not again.tree
-    root = sub.tree.root
-    assert sub.tree.max_depth == 1 and root.speaker == 1 and len(root.bounds) == 4
+def test_babai_subdivision_tree_is_two_messages():
+    tree = babai_subdivision(HEX)
+    root = tree.root
+    assert tree.max_depth == 1 and root.speaker == 1 and len(root.bounds) == 4
     assert all(column.speaker == 2 for column in (root.children[0], root.children[2]))
     # Three decided leaves (middle column, two middle rows) and four undecided ones.
-    assert sorted(str(leaf.value) for leaf in tree_leaves(sub.tree)) == ["0"] * 3 + ["None"] * 4
+    assert sorted(str(leaf.value) for leaf in tree_leaves(tree)) == ["0"] * 3 + ["None"] * 4
 
 
 def test_babai_subdivision_hexagonal_structure():
-    sub = babai_subdivision(HEX)
-    assert len(sub.cells) == 7
-    assert sum(c.error_free for c in sub.cells) == 3
+    tree = babai_subdivision(HEX)
+    cells = rows(tree)
+    assert len(cells) == 7
+    assert sum(decided for _, decided in cells) == 3
     # tiling: areas sum to the Babai cell area
-    total = math.fsum(cell_area(c.rect) for c in sub.cells)
-    assert abs(total - cell_area(sub.babai_cell)) <= 1e-12
+    total = math.fsum(cell_area(rect) for rect, _ in cells)
+    assert abs(total - cell_area(babai_cell(HEX))) <= 1e-12
     # error-free cells sit inside the Voronoi cell
     poly = voronoi_cell(HEX)
-    for c in sub.cells:
-        if c.error_free:
-            for corner in corners(c.rect):
+    for rect, decided in cells:
+        if decided:
+            for corner in corners(rect):
                 assert polygon_contains(poly, corner, tol=1e-9)
     # each crossed cell is split in two: the bisector with its neighbor
     # separates the cell's corners
-    for c in sub.cells:
-        if c.error_free:
+    for rect, decided in cells:
+        if decided:
             continue
-        n1, n2 = c.neighbor
+        n1, n2 = crossed_neighbor(HEX, rect)
         lam = HEX.point(n1, n2)
         sides = set()
-        for corner in corners(c.rect):
+        for corner in corners(rect):
             val = corner[0] * lam.x1 + corner[1] * lam.x2 - (lam.x1 ** 2 + lam.x2 ** 2) / 2
             if abs(val) > 1e-12:
                 sides.add(val > 0)
@@ -352,9 +357,9 @@ def test_babai_subdivision_point_classification(theta):
     # Monte Carlo classification oracle: a point disagrees with Babai exactly
     # when it lies in a crossed cell on the far side of the crossing segment.
     lat = Lattice2D(1.0, theta)
-    sub = babai_subdivision(lat)
+    cells = rows(babai_subdivision(lat))
     rng = np.random.default_rng(29)
-    cx_lo, cx_hi, cy_lo, cy_hi = sub.babai_cell
+    cx_lo, cx_hi, cy_lo, cy_hi = babai_cell(lat)
     pts = rng.random((20_000, 2))
     pts[:, 0] = pts[:, 0] * (cx_hi - cx_lo) + cx_lo
     pts[:, 1] = pts[:, 1] * (cy_hi - cy_lo) + cy_lo
@@ -362,16 +367,16 @@ def test_babai_subdivision_point_classification(theta):
         nearest = nearest_lattice_point(lat, (x1, x2))
         agrees = math.hypot(nearest.x1, nearest.x2) < 1e-12
         holder = None
-        for c in sub.cells:
-            x_lo, x_hi, y_lo, y_hi = c.rect
+        for rect, decided in cells:
+            x_lo, x_hi, y_lo, y_hi = rect
             if x_lo <= x1 < x_hi and y_lo <= x2 < y_hi:
-                holder = c
+                holder = rect, decided
                 break
         assert holder is not None
-        if holder.error_free:
+        if holder[1]:
             assert agrees
         else:
-            lam = lat.point(*holder.neighbor)
+            lam = lat.point(*crossed_neighbor(lat, holder[0]))
             inside = x1 * lam.x1 + x2 * lam.x2 < (lam.x1 ** 2 + lam.x2 ** 2) / 2
             assert agrees == inside
 
@@ -402,24 +407,57 @@ def subdivision_lattices(draw):
 @example(HEX)
 def test_babai_subdivision_rows_are_nonempty_and_tile_the_babai_cell(lat):
     try:
-        sub = babai_subdivision(lat)
+        tree = babai_subdivision(lat)
     except UnsupportedGeometryError:
         return
-    cell = sub.babai_cell
+    cell = babai_cell(lat)
     cx_lo, cx_hi, cy_lo, cy_hi = cell
-    for c in sub.cells:
-        x_lo, x_hi, y_lo, y_hi = c.rect
-        assert all(math.isfinite(v) for v in c.rect)
+    assert (*tree.root.i1, *tree.root.i2) == cell
+    for leaf in tree_leaves(tree):
+        x_lo, x_hi, y_lo, y_hi = rect = (*leaf.i1, *leaf.i2)
+        assert all(math.isfinite(v) for v in rect)
         assert x_lo < x_hi and y_lo < y_hi
         assert cx_lo <= x_lo and x_hi <= cx_hi and cy_lo <= y_lo and y_hi <= cy_hi
-        assert c.error_free == (c.neighbor is None)
-    total = math.fsum(cell_area(c.rect) for c in sub.cells)
+        assert leaf.value in (0, None)  # the Babai point, or a crossed cell
+    cells = rows(tree)
+    total = math.fsum(cell_area(rect) for rect, _ in cells)
     assert abs(total - cell_area(cell)) <= 1e-12 * cell_area(cell)
-    crossed = sum(not c.error_free for c in sub.cells)
-    if sub.degenerate:
+    crossed = sum(not decided for _, decided in cells)
+    if tree_leaves(tree) == [tree.root]:
         assert crossed == 0 and lat.c <= 1e-12 * lat.rho
     else:
         assert 0 < lat.c < 1 and crossed == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivision_lattices())
+@example(HEX)
+@example(Lattice2D(2.0, 1.2))
+@example(Z2)
+def test_subdivision_lists_the_middle_column_then_each_outer_column_top_to_bottom(lat):
+    try:
+        tree = babai_subdivision(lat)
+    except UnsupportedGeometryError:
+        return
+    data = subdivision_to_json(tree)["cells"]
+    cells = [(tuple(cell["rect"]), cell["error_free"]) for cell in data]
+    if tree_leaves(tree) == [tree.root]:
+        assert cells == [(babai_cell(lat), True)]
+        return
+
+    def position(cell):
+        # The middle column straddles x = 0; the outer columns follow left to
+        # right, each from its top row down.
+        (x_lo, x_hi, y_lo, _), _ = cell
+        return (not x_lo < 0.0 < x_hi, x_lo, -y_lo)
+
+    assert cells == sorted(cells, key=position)
+    assert [decided for _, decided in cells] == [True, False, True, False, False, True, False]
+    # Each crossed cell holds its own corner of the Babai cell; no decided cell holds one.
+    touched = [babai_corners_in(lat, rect) for rect, decided in cells if not decided]
+    assert all(len(corners) == 1 for corners in touched)
+    assert len({corners[0] for corners in touched}) == 4
+    assert all(babai_corners_in(lat, rect) == [] for rect, decided in cells if decided)
 
 
 def test_babai_subdivision_unsupported_geometries():
@@ -436,26 +474,28 @@ def test_babai_subdivision_unsupported_geometries():
 @example(Lattice2D(1.0, 1.0))
 def test_round_rates_come_from_the_refinement_tree(lat):
     try:
-        sub = babai_subdivision(lat)
+        tree = babai_subdivision(lat)
     except UnsupportedGeometryError:
         return
-    rates = round_rates(sub)
+    rates = round_rates(tree)
     assert abs(rates.R_bar - rate_by_closed_form(rates)) <= 1e-15 * rates.R_bar
-    leaves = sorted(((*leaf.i1, *leaf.i2), leaf.value is None) for leaf in tree_leaves(sub.tree))
-    assert leaves == sorted((sc.rect, not sc.error_free) for sc in sub.cells)
-    probs = [cell["prob"] for cell in subdivision_to_json(sub)["cells"]]
-    assert abs(sum_rate(sub.tree) - entropy_bits(probs)) <= 1e-12
+    # The JSON lists every leaf of the tree once.
+    cells = subdivision_to_json(tree)["cells"]
+    assert sorted((tuple(cell["rect"]), cell["error_free"]) for cell in cells) == sorted(rows(tree))
+    probs = [cell["prob"] for cell in cells]
+    assert abs(sum_rate(tree) - entropy_bits(probs)) <= 1e-12
 
 
 def test_round_rates_degenerate():
     rates = round_rates(babai_subdivision(Z2))
+    assert rates.Q == (1.0,) and rates.P == (1.0,)
     assert rates.Q0 == 1.0 and rates.P0 == 1.0
     assert rates.R_bar == 0.0 and rates.N_bar == 1.0
 
 
 def test_round_rates_hexagonal_values():
-    sub = babai_subdivision(HEX)
-    rates = round_rates(sub)
+    tree = babai_subdivision(HEX)
+    rates = round_rates(tree)
     assert rates.Q == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
     assert rates.P == pytest.approx((1 / 6, 2 / 3, 1 / 6), abs=1e-12)
     assert rates.R_bar == pytest.approx(2.792481250360578, abs=1e-9)
@@ -465,16 +505,18 @@ def test_round_rates_hexagonal_values():
 def test_round_rates_probability_consistency():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        sub = babai_subdivision(random_corner_cut_lattice(rng))
-        rates = round_rates(sub)
+        lat = random_corner_cut_lattice(rng)
+        tree = babai_subdivision(lat)
+        rates = round_rates(tree)
         assert math.fsum(rates.Q) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(rates.P) == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= v <= 1.0 for v in rates.Q + rates.P)
+        assert (rates.Q0, rates.P0) == (rates.Q[1], rates.P[1])
         # crossed-cell mass identity
-        assert abs((1 - rates.P0) * (1 - rates.Q0) - crossed_cell_mass(sub)) <= 1e-12
+        assert abs((1 - rates.P0) * (1 - rates.Q0) - crossed_cell_mass(tree)) <= 1e-12
         # tiling
-        total = math.fsum(cell_area(c.rect) for c in sub.cells)
-        assert abs(total - cell_area(sub.babai_cell)) <= 1e-12
+        total = math.fsum(cell_area(rect) for rect, _ in rows(tree))
+        assert abs(total - cell_area(babai_cell(lat))) <= 1e-12
 
 
 def test_round_rates_all_error_free_reduces_to_hq():
@@ -484,11 +526,11 @@ def test_round_rates_all_error_free_reduces_to_hq():
 
 
 def test_simulate_round_count_matches_n_bar():
-    sub = babai_subdivision(HEX)
-    rates = round_rates(sub)
-    mean = simulate_round_count(sub, 200_000, seed=0x5EED)
+    tree = babai_subdivision(HEX)
+    rates = round_rates(tree)
+    mean = simulate_round_count(tree, 200_000, seed=0x5EED)
     assert abs(mean - rates.N_bar) < 0.01
-    assert simulate_round_count(sub, 1000, seed=1) == simulate_round_count(sub, 1000, seed=1)
+    assert simulate_round_count(tree, 1000, seed=1) == simulate_round_count(tree, 1000, seed=1)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -501,17 +543,17 @@ def test_simulate_round_count_matches_doubling_oracle():
     rng = np.random.default_rng(0x1A7)
     lattices = [HEX, Z2] + [random_corner_cut_lattice(rng) for _ in range(6)]
     for lat in lattices:
-        sub = babai_subdivision(lat)
+        tree = babai_subdivision(lat)
         for seed in (1, 0x5EED, int(rng.integers(1, 2**31))):
             # 70,000 samples span two chunks of the stream, the second one partial.
             for samples in (30_000, 70_000):
-                expected = round_count_by_doubling(sub, samples, seed)
-                assert simulate_round_count(sub, samples, seed) == expected
+                expected = round_count_by_doubling(tree, samples, seed)
+                assert simulate_round_count(tree, samples, seed) == expected
 
 
 def test_subdivision_json_schema():
-    sub = babai_subdivision(HEX)
-    data = subdivision_to_json(sub)
+    tree = babai_subdivision(HEX)
+    data = subdivision_to_json(tree)
     assert set(data) == {"babai_cell", "cells"}
     assert len(data["babai_cell"]) == 4
     assert len(data["cells"]) == 7
@@ -570,18 +612,27 @@ def test_box_masses_are_exact_for_rational_inputs():
 @example(Lattice2D(2.0, 1.2))
 def test_lattice_lower_bound_is_below_r_bar(lat):
     try:
-        sub = babai_subdivision(lat)
+        tree = babai_subdivision(lat)
     except UnsupportedGeometryError:
         return
-    if sub.degenerate:  # no Voronoi boundary inside the Babai cell
+    if tree_leaves(tree) == [tree.root]:  # no Voronoi boundary inside the Babai cell
         return
-    assert 0.0 <= lattice_lower_bound(lat) <= round_rates(sub).R_bar
-    # Each box lies in the crossed cell of its neighbor, up to the rounding of
-    # the cell's cuts: y_c = (rho^2 - c) / (2h) carries an error near ulp(rho^2) / h.
-    crossed = {sc.neighbor: sc.rect for sc in sub.cells if not sc.error_free}
+    assert 0.0 <= lattice_lower_bound(lat) <= round_rates(tree).R_bar
+    # Each box lies in the crossed cell at its corner of the Babai cell, up to the
+    # rounding of the cell's cuts: y_c = (rho^2 - c) / (2h) carries an error near
+    # ulp(rho^2) / h.  The corner names the box's neighbor (crossed_neighbor's
+    # rule), which an exact search could not find quickly for rho up to 1e8.
+    crossed = {}
+    for rect, decided in rows(tree):
+        if not decided:
+            (corner,) = babai_corners_in(lat, rect)
+            crossed[corner] = rect
+    assert len(crossed) == 4
     tol = 1e-15 * (1.0 + lat.rho**2) / lat.h
-    for (x_lo, x_hi, y_lo, y_hi), neighbor in voronoi_segment_boxes(Fraction(lat.c), Fraction(lat.h)):
-        cx_lo, cx_hi, cy_lo, cy_hi = crossed[neighbor]
+    for box, _ in voronoi_segment_boxes(Fraction(lat.c), Fraction(lat.h)):
+        x_lo, x_hi, y_lo, y_hi = box
+        (corner,) = babai_corners_in(lat, box)
+        cx_lo, cx_hi, cy_lo, cy_hi = crossed[corner]
         assert cx_lo - tol <= x_lo and x_hi <= cx_hi + tol
         assert cy_lo - tol <= y_lo and y_hi <= cy_hi + tol
 
@@ -613,9 +664,9 @@ def babai_points(lat, n, seed):
 
 
 def mis_decoded(lat, n=2000, seed=0xDEC0):
-    sub = babai_subdivision(lat)
+    tree = babai_subdivision(lat)
     return [x for x in babai_points(lat, n, seed)
-            if lat.point(*decode_refinement(sub, x)) != nearest_lattice_point(lat, x)]
+            if lat.point(*decode_refinement(lat, tree, x)) != nearest_lattice_point(lat, x)]
 
 
 def test_mis_decoded_mass_by_fractions_matches_the_closed_form():
@@ -624,11 +675,11 @@ def test_mis_decoded_mass_by_fractions_matches_the_closed_form():
         c, h = Fraction(lat.c), Fraction(lat.h)
         y_c = (c * c + h * h - c) / (2 * h)
         closed = abs(1 - 2 * c) * (h / 2 - y_c) / (2 * h)
-        mass = mis_decoded_mass_by_fractions(babai_subdivision(lat))
+        mass = mis_decoded_mass_by_fractions(lat, babai_subdivision(lat))
         assert abs(mass - closed) <= Fraction(1, 10**15)
         assert float(mass) == pytest.approx(approx, abs=1e-5)
     # On the hexagonal lattice only the rounding of c = 0.5000000000000001 is left.
-    assert mis_decoded_mass_by_fractions(babai_subdivision(HEX)) < 1e-16
+    assert mis_decoded_mass_by_fractions(HEX, babai_subdivision(HEX)) < 1e-16
 
 
 def test_decoding_matches_the_nearest_point_on_the_hexagonal_lattice():
