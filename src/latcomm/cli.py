@@ -1,4 +1,4 @@
-"""Command-line entry point: simulation, geometry, optimization, verification.
+"""Command-line entry point: simulation, geometry, entropy ratios, verification.
 
 :func:`build_parser` holds every option with its default and choices.  The
 parser is built once per process, on the first call, and every :func:`main`
@@ -152,8 +152,8 @@ def _run_entropy_ratio(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _run_optimize_ratio(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    v_star, value = conv.minimize_entropy_ratio(args.tolerance)
-    return {"tolerance": args.tolerance, "v_star": v_star, "ratio_min": value}, None
+    v_star, value = conv.minimize_entropy_ratio()
+    return {"v_star": v_star, "ratio_min": value}, None
 
 
 def _run_partition_show(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
@@ -248,8 +248,7 @@ def _new_parser() -> argparse.ArgumentParser:
                 table=True)
     p.add_argument("--v", type=float, required=True)
 
-    p = command("optimize-ratio", _run_optimize_ratio, "golden-section ratio minimization")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    command("optimize-ratio", _run_optimize_ratio, "the entropy ratio's proved minimum")
 
     p = command("partition-show", _run_partition_show, "emit or round-trip a partition")
     source = p.add_mutually_exclusive_group(required=True)

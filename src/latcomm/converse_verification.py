@@ -122,54 +122,39 @@ def quadrant_grid_oracle(grid: int = 60) -> float:
 def entropy_ratio(v: float) -> float:
     """H([v^2, 2v(1-v), (1-v)^2]) / (2v(1-v)) in bits; symmetric in v <-> 1-v.
 
-    The tests hold it to 4 ulp of the exact ratio, from the smallest
-    subnormal v up to 1/2 and at 1 - v.
+    With a = min(v, 1 - v) the ratio is h(a) / (a(1-a)) - 1 (see
+    :func:`minimize_entropy_ratio`), that is -1 - log2(a)/(1-a) - log2(1-a)/a.
+    Unlike the three masses, this form keeps every digit of a small a.  The
+    tests hold it to 4 ulp of the exact ratio, from the smallest subnormal v
+    up to 1/2 and at 1 - v.
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie strictly inside (0, 1), got {v!r}")
     a = min(v, 1.0 - v)
-    if a < 0.0625:
-        # The masses lose a to rounding; the closed form -1 - log2(a)/(1-a) -
-        # log2(1-a)/a does not.  log1p(-a)/a comes before the division by
-        # ln 2, whose product with a tiny a would be subnormal.
-        return -1.0 - math.log2(a) / (1.0 - a) - (math.log1p(-a) / a) / math.log(2.0)
-    w = 1.0 - v
-    return entropy_bits((v * v, 2.0 * v * w, w * w)) / (2.0 * v * w)
+    # log1p(-a)/a comes before the division by ln 2, whose product with a
+    # tiny a would be subnormal.
+    return -1.0 - math.log2(a) / (1.0 - a) - (math.log1p(-a) / a) / math.log(2.0)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def minimize_entropy_ratio() -> tuple[float, float]:
+    """The minimum of :func:`entropy_ratio` over (0, 1): (1/2, 3.0), exactly.
 
+    The ratio exceeds 3 bits at every v other than 1/2.  Let B1 and B2 be
+    independent Bernoulli(v) bits.  H(B1, B2) = 2h(v), with h the binary
+    entropy, is H(B1 + B2) plus 1 bit on the event B1 != B2 of mass
+    2v(1-v); so the ratio H(B1 + B2) / (2v(1-v)) is h(v) / (v(1-v)) - 1,
+    and it exceeds 3 exactly where h(v) > 4v(1-v).
 
-def minimize_entropy_ratio(tolerance: float = 1e-6) -> tuple[float, float]:
-    """Golden-section minimization of :func:`entropy_ratio` over (0, 1).
-
-    Returns (v*, ratio(v*)) with the bracket narrowed below ``tolerance``.
-    Local uniqueness is asserted by requiring the ratio to exceed 3 bits at
-    v* +- 10*tolerance.  Tolerances below 1e-8 are rejected: ratio(1/2 + d)
-    - 3 is about 4.46 d^2, so within about 1e-8 of 1/2 the ratio is flat in
-    double precision.
+    Let f = h - 4v(1-v), so f(0) = f(1/2) = f'(1/2) = 0.  Its second
+    derivative f'' = 8 - 1/(ln 2 * v(1-v)) changes sign once on (0, 1/2),
+    at the p0 with p0(1-p0) = 1/(8 ln 2) < 1/4: f is concave on (0, p0) and
+    convex on (p0, 1/2).  On the convex part f' rises to f'(1/2) = 0, so f
+    falls to 0 at 1/2 and is positive before it.  On the concave part f
+    lies above its chord from f(0) = 0 to f(p0) > 0.  Hence f > 0 on
+    (0, 1/2), and by the symmetry v <-> 1-v the ratio exceeds 3 everywhere
+    but at v = 1/2, where it is h(1/2) / (1/4) - 1 = 3.
     """
-    if not 1e-8 <= tolerance <= 1e-3:
-        raise ValueError("tolerance must lie in [1e-8, 1e-3]")
-    a, b = 1e-9, 1.0 - 1e-9
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = entropy_ratio(c), entropy_ratio(d)
-    while b - a > tolerance:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = entropy_ratio(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = entropy_ratio(d)
-    v_star = 0.5 * (a + b)
-    value = entropy_ratio(v_star)
-    for probe in (v_star - 10.0 * tolerance, v_star + 10.0 * tolerance):
-        if not (0.0 < probe < 1.0) or entropy_ratio(probe) <= 3.0:
-            raise RuntimeError(f"ratio not locally minimal around v*={v_star!r}")
-    return v_star, value
+    return 0.5, entropy_ratio(0.5)
 
 
 def self_similar_partition(v: float, depth: int) -> LabeledPartition:
@@ -239,7 +224,7 @@ def assemble_four_bits() -> float:
     Returns exactly 4.0; :func:`run_all_checks` compares it with the
     bit-exchange transcript entropy at depth 30.
     """
-    conditional = entropy_ratio(0.5)
+    conditional = minimize_entropy_ratio()[1]
     return 1.0 + 0.5 * conditional + 0.5 * conditional
 
 
@@ -281,12 +266,18 @@ def run_all_checks(include_oracle: bool = True) -> dict:
         "pass": bool(bounds_ok and staircase_ok),
     }
 
-    v_star, ratio_min = minimize_entropy_ratio(1e-6)
+    # An independent route to entropy_ratio: the three-mass definition.
+    masses_ok = True
+    for k in range(1, 16):
+        v, w = k / 16, 1.0 - k / 16
+        by_masses = entropy_bits((v * v, 2.0 * v * w, w * w)) / (2.0 * v * w)
+        masses_ok = masses_ok and abs(entropy_ratio(v) - by_masses) <= 1e-12 * by_masses
+    v_star, ratio_min = minimize_entropy_ratio()
     total_bits = assemble_four_bits()
     deep_rate = sum_rate(bit_exchange_protocol(30))
     ratio_ok = (
-        abs(v_star - 0.5) <= 1e-6
-        and abs(ratio_min - 3.0) <= 1e-9
+        masses_ok
+        and ratio_min == 3.0
         and total_bits == 4.0
         and abs(deep_rate - 4.0) < 1e-7
     )

@@ -205,10 +205,13 @@ def trivial_protocol() -> ProtocolTree:
 
 
 def run_protocol(tree: ProtocolTree, x1: float, x2: float) -> Transcript:
-    """Deterministic execution on inputs in the open unit interval."""
-    if not (0.0 < x1 < 1.0 and 0.0 < x2 < 1.0):
-        raise ValueError(f"inputs must lie in (0, 1), got ({x1!r}, {x2!r})")
+    """Deterministic execution on inputs inside the open rectangle of the tree's root."""
     node = tree.root
+    (lo1, hi1), (lo2, hi2) = node.i1, node.i2
+    if not (lo1 < x1 < hi1 and lo2 < x2 < hi2):
+        raise ValueError(
+            f"inputs must lie in ({lo1!r}, {hi1!r}) x ({lo2!r}, {hi2!r}), got ({x1!r}, {x2!r})"
+        )
     messages: list[int] = []
     while type(node) is not _Leaf:
         x = x1 if node.speaker == 1 else x2

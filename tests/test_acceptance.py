@@ -59,8 +59,8 @@ def test_criterion_2_achievability_monte_carlo():
 
 
 def test_criterion_3_entropy_ratio_minimum():
-    v_star, value = lc.minimize_entropy_ratio(1e-6)
-    ok = abs(v_star - 0.5) <= 1e-6 and abs(value - 3.0) <= 1e-9
+    v_star, value = lc.minimize_entropy_ratio()
+    ok = (v_star, value) == (0.5, 3.0)
     report(3, ok, f"v*={v_star}, min={value}")
 
 

@@ -104,11 +104,19 @@ def test_entropy_ratio_command(capsys):
 
 
 def test_optimize_ratio_command(capsys):
-    code, out, _ = run_cli(capsys, "optimize-ratio", "--tolerance", "1e-6", "--json")
+    code, out, _ = run_cli(capsys, "optimize-ratio", "--json")
     assert code == 0
-    data = json.loads(out)
-    assert abs(data["v_star"] - 0.5) <= 1e-6
-    assert abs(data["ratio_min"] - 3.0) <= 1e-9
+    assert json.loads(out) == {"ratio_min": 3.0, "v_star": 0.5}
+
+
+def test_optimize_ratio_has_no_tolerance(capsys):
+    # The minimum is proved, not searched for: there is nothing to tune.
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize-ratio", "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tolerance 1e-6" in err
 
 
 def test_verify_converse_all(capsys):
@@ -117,6 +125,20 @@ def test_verify_converse_all(capsys):
     data = json.loads(out)
     assert data["thm5"]["total_bits"] == 4.0
     assert data["example1"]["pass"] and data["thm3"]["pass"] and data["thm5"]["pass"]
+
+
+def test_verify_fails_when_entropy_ratio_leaves_its_mass_formula(capsys, monkeypatch):
+    real_ratio = cli_module.conv.entropy_ratio
+
+    def off_at_a_quarter(v):
+        return real_ratio(v) + (1e-9 if v == 0.25 else 0.0)
+
+    monkeypatch.setattr(cli_module.conv, "entropy_ratio", off_at_a_quarter)
+    code, out, _ = run_cli(capsys, "verify", "converse", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert not data["thm5"]["pass"] and not data["pass"]
+    assert data["thm5"]["ratio_min"] == 3.0
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -452,18 +474,6 @@ def test_lattice_nearest_rejects_a_query_far_from_the_origin(capsys):
     )
 
 
-def test_optimize_ratio_tolerance_range(capsys):
-    for tolerance in [10.0 ** (k / 4) for k in range(-32, -11)]:  # 1e-8 .. 1e-3
-        code, out, _ = run_cli(capsys, "optimize-ratio", f"--tolerance={tolerance!r}", "--json")
-        assert code == 0
-        assert abs(json.loads(out)["v_star"] - 0.5) <= tolerance
-    # Below 1e-8 the ratio is flat in double precision around v = 1/2.
-    for tolerance in ("1e-12", "1e-16"):
-        code, out, err = run_cli(capsys, "optimize-ratio", "--tolerance", tolerance)
-        assert code == 2
-        assert out == "" and "tolerance must lie in [1e-8, 1e-3]" in err
-
-
 _FUZZ_FLOATS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 1e-300, 0.5, 1.0]),
     st.floats(),
@@ -472,7 +482,6 @@ _FUZZ_COMMANDS = {
     "lattice-nearest": ("rho", "theta", "x", "y"),
     "lattice-rates": ("rho", "theta"),
     "entropy-ratio": ("v",),
-    "optimize-ratio": ("tolerance",),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,7 +85,9 @@ def _log_uniform_v(count: int) -> list[float]:
 
 @pytest.mark.parametrize(
     "v",
-    [5e-324, 2.0**-60, 1e-16, 0.3, 0.5] + [i / 16 for i in range(1, 8)] + _log_uniform_v(100),
+    [5e-324, 2.0**-60, 1e-16, 0.3, 0.5, 0.5 - 2.0**-52, 0.5 + 2.0**-52, 1.0 - 2.0**-53]
+    + [i / 16 for i in range(1, 8)]
+    + _log_uniform_v(100),
 )
 def test_entropy_ratio_matches_decimal_oracle(v):
     # Also at 1 - v, once that is a double other than 1.
@@ -101,12 +104,25 @@ def test_entropy_ratio_symmetric(v):
 
 
 def test_minimize_entropy_ratio():
-    v_star, value = minimize_entropy_ratio(1e-6)
-    assert abs(v_star - 0.5) <= 1e-6
-    assert abs(value - 3.0) <= 1e-9
+    assert minimize_entropy_ratio() == (0.5, 3.0)
     assert entropy_ratio(0.49) > 3.0 and entropy_ratio(0.51) > 3.0
-    with pytest.raises(ValueError):
-        minimize_entropy_ratio(0.5)
+
+
+def test_binary_entropy_exceeds_four_v_times_one_minus_v():
+    # The proof in minimize_entropy_ratio, in 50-digit arithmetic: f = h - 4v(1-v)
+    # is positive on a grid of (0, 1/2), and its inflection point p0 lies
+    # inside (0, 1/2), where v(1-v) = 1/(8 ln 2).
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+        for k in range(1, 2048):
+            v = Decimal(k) / 4096
+            w = 1 - v
+            h = -(v * v.ln() + w * w.ln()) / ln2
+            assert h - 4 * v * w > 0, k
+        p0 = (1 - (1 - 1 / (2 * ln2)).sqrt()) / 2
+        assert 0 < p0 < Decimal("0.5")
+        assert abs(p0 * (1 - p0) - 1 / (8 * ln2)) < Decimal("1e-45")
 
 
 def test_self_similar_depth1_matches_quarter_split():
@@ -307,4 +323,4 @@ def test_run_all_checks_passes():
     assert report["pass"]
     assert report["example1"]["min_entropy_bits"] == 1.5
     assert report["thm5"]["total_bits"] == 4.0
-    assert abs(report["thm5"]["v_star"] - 0.5) <= 1e-6
+    assert (report["thm5"]["v_star"], report["thm5"]["ratio_min"]) == (0.5, 3.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from latcomm import (
     nearest_lattice_point,
     nearest_plane_point,
     round_rates,
+    run_protocol,
     simulate_round_count,
     subdivision_to_json,
     sum_rate,
@@ -458,6 +460,32 @@ def test_subdivision_lists_the_middle_column_then_each_outer_column_top_to_botto
     assert all(len(corners) == 1 for corners in touched)
     assert len({corners[0] for corners in touched}) == 4
     assert all(babai_corners_in(lat, rect) == [] for rect, decided in cells if decided)
+
+
+_CELL_FRACTION = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.25, 1.25))
+
+
+@settings(max_examples=100, deadline=None)
+@given(subdivision_lattices(), _CELL_FRACTION, _CELL_FRACTION)
+@example(HEX, 0.2, 0.5 + 0.2 / HEX.h)  # (-0.3, 0.2)
+@example(HEX, 1.2, 0.5 + 0.1 / HEX.h)  # (0.7, 0.1), right of the Babai cell
+@example(Z2, 0.5, 0.5)
+def test_run_protocol_decides_like_the_leaf_holding_the_point(lat, u1, u2):
+    try:
+        tree = babai_subdivision(lat)
+    except UnsupportedGeometryError:
+        return
+    (lo1, hi1), (lo2, hi2) = tree.root.i1, tree.root.i2
+    x1, x2 = lo1 + u1 * (hi1 - lo1), lo2 + u2 * (hi2 - lo2)
+    if not (lo1 < x1 < hi1 and lo2 < x2 < hi2):
+        cell = re.escape(f"({lo1!r}, {hi1!r}) x ({lo2!r}, {hi2!r})")
+        with pytest.raises(ValueError, match=f"inputs must lie in {cell}"):
+            run_protocol(tree, x1, x2)
+        return
+    # Message intervals are closed below and open above.
+    (leaf,) = [leaf for leaf in tree_leaves(tree)
+               if leaf.i1[0] <= x1 < leaf.i1[1] and leaf.i2[0] <= x2 < leaf.i2[1]]
+    assert run_protocol(tree, x1, x2).output == leaf.value
 
 
 def test_babai_subdivision_unsupported_geometries():

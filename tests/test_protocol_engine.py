@@ -56,7 +56,7 @@ def test_equal_inputs_stay_undecided():
 def test_run_validates_inputs():
     tree = bit_exchange_protocol(2)
     for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"inputs must lie in \(0\.0, 1\.0\) x \(0\.0, 1\.0\)"):
             run_protocol(tree, *bad)
 
 
