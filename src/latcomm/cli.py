@@ -160,10 +160,9 @@ def _run_partition_show(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             part = LabeledPartition.from_json(fh.read())
-    elif args.v is not None:
-        part = conv.self_similar_partition(args.v, args.max_depth)
     else:
-        part = engine.induced_partition(engine.bit_exchange_protocol(args.max_depth))
+        # Bit exchange's partition is the self-similar partition at v = 1/2.
+        part = conv.self_similar_partition(0.5 if args.v is None else args.v, args.max_depth)
     return part.to_json_dict(), None
 
 

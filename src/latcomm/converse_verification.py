@@ -23,7 +23,7 @@ from .partition_core import (
     staircase_max,
     satisfies_staircase_bounds,
 )
-from .protocol_engine import bit_exchange_protocol, check_max_depth, induced_partition, sum_rate
+from .protocol_engine import bit_exchange_protocol, check_max_depth, sum_rate
 
 __all__ = [
     "quadrant_feasible",
@@ -160,16 +160,18 @@ def minimize_entropy_ratio() -> tuple[float, float]:
 def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     """Recursive corner-rectangle partition for the ordering function.
 
-    Each diagonal square [lo,hi]^2 receives the p-rectangle with upper-left
-    corner on the diagonal at lo + v*(hi-lo) and its mirror image on the q
-    side, then recurses into the two remaining diagonal squares.  Squares
-    left after ``depth`` levels stay as undecided residual cells, so every
-    truncation is a genuine partition of the unit square.  Given the lower
-    triangle, the first level splits it into the lower half of [0,v]^2, the
-    corner rectangle [v,1] x [0,v] and the lower half of [v,1]^2, with
-    conditional masses (v^2, 2v(1-v), (1-v)^2): the distribution behind
-    :func:`entropy_ratio`.  At v = 1/2 the cells coincide with the
-    bit-exchange protocol's induced partition.
+    Each diagonal square [lo,hi]^2 is cut at lo + v*(hi-lo) on both axes
+    into a q-rectangle above the diagonal, its mirror p-rectangle below it,
+    and two diagonal squares that recurse.  Squares left after ``depth``
+    levels stay as undecided residual cells, so every truncation is a
+    genuine partition of the unit square.  Given the lower triangle, the
+    first level splits it into the lower half of [0,v]^2, the corner
+    rectangle [v,1] x [0,v] and the lower half of [v,1]^2, with conditional
+    masses (v^2, 2v(1-v), (1-v)^2): the distribution behind
+    :func:`entropy_ratio`.  Cells come in transcript order, the leaf order
+    of the protocol in which each party names its side of the cut until the
+    two sides differ: low sub-square, q-cell, p-cell, high sub-square.  At
+    v = 1/2 that protocol is bit exchange, and this is its induced partition.
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
@@ -178,23 +180,21 @@ def self_similar_partition(v: float, depth: int) -> LabeledPartition:
     cells, residual = [], []
 
     def build(lo: float, hi: float, level: int) -> None:
+        if level > depth:
+            residual.append((lo, hi, lo, hi))
+            return
         cut = lo + v * (hi - lo)
         if not lo < cut < hi:
             raise ValueError(
                 f"v = {v!r} at depth {depth} is too fine for double precision: "
                 f"the level-{level} cut of the square [{lo!r}, {hi!r}]^2 rounds onto its edge"
             )
-        cells.append((cut, hi, lo, cut))
-        cells.append((lo, cut, cut, hi))
-        if level == depth:
-            residual.append((lo, cut, lo, cut))
-            residual.append((cut, hi, cut, hi))
-        else:
-            build(lo, cut, level + 1)
-            build(cut, hi, level + 1)
+        build(lo, cut, level + 1)
+        cells.extend(((lo, cut, cut, hi), (cut, hi, lo, cut)))
+        build(cut, hi, level + 1)
 
     build(0.0, 1.0, 1)
-    return LabeledPartition(cells, ["p", "q"] * (len(cells) // 2), residual)
+    return LabeledPartition(cells, ["q", "p"] * (len(cells) // 2), residual)
 
 
 def side_conditional_entropy(part: LabeledPartition, side: str = "p") -> float:
@@ -245,9 +245,8 @@ def run_all_checks(include_oracle: bool = True) -> dict:
     if oracle_min is not None:
         quadrant_report["oracle_min_bits"] = oracle_min
 
-    partitions = [
-        induced_partition(bit_exchange_protocol(d)) for d in range(1, 11)
-    ] + [self_similar_partition(v, 8) for v in (0.3, 0.5, 0.7)]
+    partitions = [self_similar_partition(0.5, d) for d in range(1, 11)]
+    partitions += [self_similar_partition(v, 8) for v in (0.3, 0.5, 0.7)]
     bounds_ok = all(
         satisfies_staircase_bounds(part) and is_zero_error(part, TargetFunction.MIN_INDICATOR)
         for part in partitions

@@ -1,4 +1,4 @@
-"""Interactive two-party protocols over the open unit square.
+"""Interactive two-party protocols over the unit square.
 
 A protocol is a finite tree of speaking turns.  Each internal node belongs to
 one speaker and partitions that speaker's current admissible interval into
@@ -205,12 +205,12 @@ def trivial_protocol() -> ProtocolTree:
 
 
 def run_protocol(tree: ProtocolTree, x1: float, x2: float) -> Transcript:
-    """Deterministic execution on inputs inside the open rectangle of the tree's root."""
+    """Deterministic execution on inputs in the root's rectangle [lo1, hi1) x [lo2, hi2)."""
     node = tree.root
     (lo1, hi1), (lo2, hi2) = node.i1, node.i2
-    if not (lo1 < x1 < hi1 and lo2 < x2 < hi2):
+    if not (lo1 <= x1 < hi1 and lo2 <= x2 < hi2):
         raise ValueError(
-            f"inputs must lie in ({lo1!r}, {hi1!r}) x ({lo2!r}, {hi2!r}), got ({x1!r}, {x2!r})"
+            f"inputs must lie in [{lo1!r}, {hi1!r}) x [{lo2!r}, {hi2!r}), got ({x1!r}, {x2!r})"
         )
     messages: list[int] = []
     while type(node) is not _Leaf:

@@ -17,7 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from latcomm import ConvexPolygon, Lattice2D, LabeledPartition, ProtocolTree, TargetFunction
+from latcomm import (
+    ConvexPolygon,
+    Lattice2D,
+    LabeledPartition,
+    ProtocolTree,
+    TargetFunction,
+    make_leaf,
+    make_node,
+)
 from latcomm.protocol_engine import _Leaf
 
 
@@ -133,13 +141,13 @@ def nearest_by_fractions(lat: Lattice2D, x) -> tuple[Fraction, tuple[int, int]]:
 
 
 def fraction_bits(x: float | Fraction, n: int) -> list[int]:
-    """First n binary-expansion bits of x in (0,1), by exact integer arithmetic.
+    """First n binary-expansion bits of x in [0,1), by exact integer arithmetic.
 
     Dyadic rationals get the terminating expansion (trailing zeros).
     """
     frac = Fraction(x)
-    if not 0 < frac < 1:
-        raise ValueError("x must lie in (0, 1)")
+    if not 0 <= frac < 1:
+        raise ValueError("x must lie in [0, 1)")
     return [(frac.numerator << k) // frac.denominator & 1 for k in range(1, n + 1)]
 
 
@@ -413,6 +421,29 @@ def mis_decoded_mass_by_fractions(lat: Lattice2D, tree: ProtocolTree) -> Fractio
         total += _clipped_area(rect, [truth, near_diagonal])
         total += _clipped_area(rect, [diagonal, near_truth])
     return total / h
+
+
+def split_exchange_protocol(v: float, depth: int) -> ProtocolTree:
+    """Eager protocol whose parties in turn name their side of the cut lo + v*(hi - lo).
+
+    Both inputs lie in the diagonal square [lo, hi)^2 the transcript has left.
+    Party 1 names its side of the cut, then party 2; different sides decide
+    the order (party 1 high is x1 > x2, value 1), equal sides recurse into
+    the smaller square, and after ``depth`` rounds the square is an undecided
+    leaf.  At v = 1/2 it is bit exchange, built node by node.
+    """
+
+    def square(lo: float, hi: float, level: int):
+        if level > depth:
+            return make_leaf(None, (lo, hi), (lo, hi))
+        cut = lo + v * (hi - lo)
+        low, high, both, bounds = (lo, cut), (cut, hi), (lo, hi), (lo, cut, hi)
+        x1_low = [square(lo, cut, level + 1), make_leaf(0, low, high)]
+        x1_high = [make_leaf(1, high, low), square(cut, hi, level + 1)]
+        answers = [make_node(2, low, both, bounds, x1_low), make_node(2, high, both, bounds, x1_high)]
+        return make_node(1, both, both, bounds, answers)
+
+    return ProtocolTree(square(0.0, 1.0, 1), depth)
 
 
 def closed_form_truncated_bits(d: int) -> float:

@@ -13,9 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from latcomm import LabeledPartition, Lattice2D, self_similar_partition
 import latcomm.cli as cli_module
+import latcomm.protocol_engine as engine
 from latcomm.cli import DEFAULT_SEED, emit_plot_data, main
 
-from oracles import closed_form_truncated_bits, random_zero_error_partition
+from oracles import (
+    closed_form_truncated_bits,
+    first_differ_round,
+    fraction_bits,
+    random_zero_error_partition,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -306,6 +312,23 @@ def test_simulate_transcript_dump(tmp_path, capsys):
         assert len(symbols) >= 2 and all(s in ("0", "1") for s in symbols)
 
 
+def test_simulate_transcripts_accept_a_zero_draw(tmp_path, capsys, monkeypatch):
+    # Generator.random draws from [0, 1), so an input can be exactly 0.0.
+    pairs = np.array([[0.0, 0.1], [0.75, 0.0], [0.0, 0.0], [0.3, 0.6]])
+    monkeypatch.setattr(engine, "sample_inputs", lambda seed, samples: iter([pairs]))
+    path = tmp_path / "runs.txt"
+    code, _, _ = run_cli(capsys, "simulate", "--samples", "4", "--max-depth", "5",
+                         "--transcripts", str(path), "--json")
+    assert code == 0
+    expected = []
+    for x1, x2 in pairs.tolist():
+        rounds = first_differ_round(x1, x2, 5) or 5
+        bits = zip(fraction_bits(x1, rounds), fraction_bits(x2, rounds))
+        expected.append(",".join(f"{b1},{b2}" for b1, b2 in bits))
+    assert path.read_text().splitlines() == expected
+    assert expected[0] == "0,0,0,0,0,0,0,1"
+
+
 _SAMPLES_ERROR = "error: samples must be >= 1\n"
 _DEPTH_ERROR = "error: max_depth must be in [1, 50]\n"
 
@@ -587,7 +610,7 @@ def _mutated(doc: dict, mutation: str, index: int, coord: int) -> str:
 # Drops the ~1e-13 cell at the origin: a hole however small is still a hole.
 @example(self_similar_partition(0.05, 5), "drop", 62, 0)
 # Shifts a cell ~1e-13 wide onto its neighbour: an overlap however thin.
-@example(self_similar_partition(0.05, 10), "shift", 19, 0)
+@example(self_similar_partition(0.05, 10), "shift", 0, 0)
 def test_partition_show_round_trips_and_rejects_damage(
     tmp_path_factory, part, mutation, index, coord
 ):
@@ -667,6 +690,17 @@ def test_partition_show_depth_messages_agree(capsys, depth):
     assert errors[0] == errors[1]
     if depth != "17":
         assert errors[0] == "error: max_depth must be in [1, 50]\n"
+
+
+@pytest.mark.parametrize("depth", ["1", "4", "11"])
+def test_partition_show_bit_exchange_is_v_one_half(capsys, depth):
+    code, bit_exchange, _ = run_cli(
+        capsys, "partition-show", "--protocol", "bit-exchange", "--max-depth", depth, "--json"
+    )
+    assert code == 0
+    assert run_cli(capsys, "partition-show", "--v", "0.5", "--max-depth", depth, "--json")[:2] == (
+        0, bit_exchange
+    )
 
 
 @pytest.mark.parametrize("v, depth", [("0.05", "15"), ("1e-300", "2")])

@@ -36,6 +36,7 @@ from oracles import (
     entropy_ratio_by_decimal,
     grid_protocol_min_entropy,
     grid_set_protocol_min_entropy,
+    split_exchange_protocol,
 )
 
 
@@ -131,16 +132,21 @@ def test_self_similar_depth1_matches_quarter_split():
     assert partition_entropy(part) == 2.0
 
 
-@pytest.mark.parametrize("depth", range(1, 9))
+@pytest.mark.parametrize("depth", range(1, 13))
 def test_self_similar_half_equals_bit_exchange(depth):
+    # Cell for cell, in transcript order: the lazy tree's leaves are the reference.
     ours = self_similar_partition(0.5, depth)
-    induced = induced_partition(bit_exchange_protocol(depth))
-    key = lambda part: (
-        sorted(zip(part.cells.tolist(), part.labels.tolist())),
-        sorted(part.residual.tolist()),
-    )
-    assert key(ours) == key(induced)
+    assert ours.to_json() == induced_partition(bit_exchange_protocol(depth)).to_json()
     assert partition_entropy(ours) == pytest.approx(closed_form_truncated_bits(depth), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(1, 6))
+def test_self_similar_partition_is_induced_by_split_exchange(v, depth):
+    tree = split_exchange_protocol(v, depth)
+    part = self_similar_partition(v, depth)
+    assert induced_partition(tree).to_json() == part.to_json()
+    assert abs(sum_rate(tree) - partition_entropy(part)) <= 1e-12
 
 
 @pytest.mark.parametrize("v", [0.3, 0.5, 0.7])

@@ -470,6 +470,8 @@ _CELL_FRACTION = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.25, 1.25))
 @example(HEX, 0.2, 0.5 + 0.2 / HEX.h)  # (-0.3, 0.2)
 @example(HEX, 1.2, 0.5 + 0.1 / HEX.h)  # (0.7, 0.1), right of the Babai cell
 @example(Z2, 0.5, 0.5)
+@example(HEX, 0.0, 0.0)  # the lower-left corner, inside the half-open cell
+@example(HEX, 1.0, 0.0)  # the lower-right corner, outside it
 def test_run_protocol_decides_like_the_leaf_holding_the_point(lat, u1, u2):
     try:
         tree = babai_subdivision(lat)
@@ -477,8 +479,8 @@ def test_run_protocol_decides_like_the_leaf_holding_the_point(lat, u1, u2):
         return
     (lo1, hi1), (lo2, hi2) = tree.root.i1, tree.root.i2
     x1, x2 = lo1 + u1 * (hi1 - lo1), lo2 + u2 * (hi2 - lo2)
-    if not (lo1 < x1 < hi1 and lo2 < x2 < hi2):
-        cell = re.escape(f"({lo1!r}, {hi1!r}) x ({lo2!r}, {hi2!r})")
+    if not (lo1 <= x1 < hi1 and lo2 <= x2 < hi2):
+        cell = re.escape(f"[{lo1!r}, {hi1!r}) x [{lo2!r}, {hi2!r})")
         with pytest.raises(ValueError, match=f"inputs must lie in {cell}"):
             run_protocol(tree, x1, x2)
         return

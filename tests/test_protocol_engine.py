@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcomm import (
     TargetFunction,
+    Transcript,
     bit_exchange_protocol,
     induced_partition,
     is_zero_error,
@@ -54,10 +55,13 @@ def test_equal_inputs_stay_undecided():
 
 
 def test_run_validates_inputs():
+    # The root rectangle is half-open, like every message interval.
     tree = bit_exchange_protocol(2)
-    for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)):
-        with pytest.raises(ValueError, match=r"inputs must lie in \(0\.0, 1\.0\) x \(0\.0, 1\.0\)"):
+    for bad in ((0.5, 1.0), (-0.1, 0.5), (0.5, 1.5), (-5e-324, 0.5)):
+        with pytest.raises(ValueError, match=r"inputs must lie in \[0\.0, 1\.0\) x \[0\.0, 1\.0\)"):
             run_protocol(tree, *bad)
+    assert run_protocol(tree, 0.0, 0.5) == Transcript((0, 1), 0)
+    assert run_protocol(tree, 0.0, 0.0) == Transcript((0, 0, 0, 0), None)
 
 
 @settings(max_examples=300, deadline=None)
