@@ -1,6 +1,6 @@
 """Desk-scale machinery for interactive ordering of two uniform variables.
 
-Subpackages cover the 2-D lattice geometry the problem comes from (Babai and
+Modules cover the 2-D lattice geometry the problem comes from (Babai and
 Voronoi cells, and the seven-rectangle refinement of the Babai cell, a
 protocol tree whose messages give the rates), rectangular partitions of the
 unit square with their entropy accounting, an interactive protocol engine
@@ -49,8 +49,6 @@ from .protocol_engine import (
     run_protocol,
     sample_inputs,
     sum_rate,
-    trivial_protocol,
-    rate_matches_partition_entropy,
 )
 from .converse_verification import (
     assemble_four_bits,

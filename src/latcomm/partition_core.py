@@ -72,14 +72,24 @@ def check_partition_depth(depth: int) -> None:
 
 
 def entropy_bits(probs: Iterable[float]) -> float:
-    """Shannon entropy in bits, with the 0*log(0) = 0 convention."""
+    """Shannon entropy in bits, with the 0*log(0) = 0 convention.
+
+    A negative (below -PROB_TOL), NaN or infinite entry raises ValueError.
+    A positive entry costs one comparison, and an infinite one makes the
+    total -inf.
+    """
     terms = []
     for p in probs:
-        if p < -PROB_TOL:
-            raise ValueError(f"negative probability {p!r}")
         if p > 0.0:
             terms.append(-p * math.log2(p))
-    return math.fsum(terms)
+        elif p < -PROB_TOL:
+            raise ValueError(f"negative probability {p!r}")
+        elif p != p:  # NaN
+            raise ValueError(f"probability {p!r} is not finite")
+    total = math.fsum(terms)
+    if total == -math.inf:
+        raise ValueError("a probability is infinite or too large for a finite entropy")
+    return total
 
 
 def _is_number(v: object) -> bool:
@@ -232,8 +242,12 @@ class LabeledPartition:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LabeledPartition":
-        """Partition from its JSON form; malformed input raises ValueError."""
+    def from_json(cls, text: str) -> "LabeledPartition":
+        """Partition from its JSON text; malformed input raises ValueError."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("partition JSON is nested too deeply") from None
         if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
             raise ValueError('partition JSON must be an object with a "cells" list')
         cells, labels, residual = [], [], []
@@ -257,14 +271,6 @@ class LabeledPartition:
                 cells.append(coords)
                 labels.append(str(entry["label"]))
         return cls(cells, labels, residual)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LabeledPartition":
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("partition JSON is nested too deeply") from None
-        return cls.from_json_dict(data)
 
 
 def partition_entropy(part: LabeledPartition) -> float:
@@ -290,10 +296,13 @@ def is_zero_error(part: LabeledPartition, f: TargetFunction) -> bool:
 def majorizes(p: Sequence[float], q: Sequence[float]) -> bool:
     """True iff sorted-descending prefix sums of p dominate those of q.
 
-    Raises ValueError when the vectors do not carry the same total mass.
+    Raises ValueError when an entry is not finite or negative, or when the
+    vectors do not carry the same total mass.
     """
     ps = sorted((float(v) for v in p), reverse=True)
     qs = sorted((float(v) for v in q), reverse=True)
+    if not all(map(math.isfinite, ps + qs)):
+        raise ValueError("probability vectors must be finite")
     if ps and ps[-1] < -PROB_TOL or qs and qs[-1] < -PROB_TOL:
         raise ValueError("probability vectors must be nonnegative")
     if abs(math.fsum(ps) - math.fsum(qs)) > PROB_TOL:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .partition_core import LabeledPartition, check_partition_depth, partition_entropy
+from .partition_core import LabeledPartition, check_partition_depth
 
 __all__ = [
     "Transcript",
@@ -41,11 +41,9 @@ __all__ = [
     "check_max_depth",
     "bit_exchange_protocol",
     "one_round_quadrant_protocol",
-    "trivial_protocol",
     "run_protocol",
     "induced_partition",
     "sum_rate",
-    "rate_matches_partition_entropy",
     "monte_carlo",
     "sample_inputs",
 ]
@@ -198,12 +196,6 @@ def one_round_quadrant_protocol() -> ProtocolTree:
     return ProtocolTree(root, 1)
 
 
-def trivial_protocol() -> ProtocolTree:
-    """Zero-message tree: a single undecided leaf covering the square."""
-    unit = (0.0, 1.0)
-    return ProtocolTree(make_leaf(None, unit, unit), 0)
-
-
 def run_protocol(tree: ProtocolTree, x1: float, x2: float) -> Transcript:
     """Deterministic execution on inputs in the root's rectangle [lo1, hi1) x [lo2, hi2)."""
     node = tree.root
@@ -291,13 +283,6 @@ def sum_rate(tree: ProtocolTree) -> float:
     """
     profile = _leaf_profile(tree)
     return math.fsum(-count * p * math.log2(p) for p, count in profile.items() if p > 0.0)
-
-
-def rate_matches_partition_entropy(tree: ProtocolTree) -> bool:
-    """Sum rate equals the induced-partition entropy, to 1e-12."""
-    rate = sum_rate(tree)
-    ent = partition_entropy(induced_partition(tree))
-    return abs(rate - ent) <= 1e-12
 
 
 def sample_inputs(seed: int, samples: int) -> Iterator[np.ndarray]:

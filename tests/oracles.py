@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different route than the
 library: exhaustive coefficient scans, exact integer arithmetic on binary
 expansions, and closed-form series.  None of it calls back into the code
-paths under test.
+paths under test, except ``rate_matches_partition_entropy``, which sets two
+library routes against each other.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from latcomm import (
     LabeledPartition,
     ProtocolTree,
     TargetFunction,
+    induced_partition,
     make_leaf,
     make_node,
+    partition_entropy,
+    sum_rate,
 )
 from latcomm.protocol_engine import _Leaf
 
@@ -444,6 +448,19 @@ def split_exchange_protocol(v: float, depth: int) -> ProtocolTree:
         return make_node(1, both, both, bounds, answers)
 
     return ProtocolTree(square(0.0, 1.0, 1), depth)
+
+
+def trivial_protocol() -> ProtocolTree:
+    """Zero-message tree: a single undecided leaf covering the square."""
+    unit = (0.0, 1.0)
+    return ProtocolTree(make_leaf(None, unit, unit), 0)
+
+
+def rate_matches_partition_entropy(tree: ProtocolTree) -> bool:
+    """Sum rate equals the induced-partition entropy, to 1e-12."""
+    rate = sum_rate(tree)
+    ent = partition_entropy(induced_partition(tree))
+    return abs(rate - ent) <= 1e-12
 
 
 def closed_form_truncated_bits(d: int) -> float:

@@ -22,6 +22,7 @@ from oracles import (
     random_majorizing_pair,
     random_superbase_lattice,
     random_zero_error_partition,
+    rate_matches_partition_entropy,
     tree_leaves,
 )
 
@@ -94,8 +95,8 @@ def test_criterion_5_staircase_maximum():
 
 
 def test_criterion_6_rate_equals_partition_entropy():
-    ok = all(lc.rate_matches_partition_entropy(lc.bit_exchange_protocol(d)) for d in range(1, 13))
-    ok = ok and lc.rate_matches_partition_entropy(lc.one_round_quadrant_protocol())
+    ok = all(rate_matches_partition_entropy(lc.bit_exchange_protocol(d)) for d in range(1, 13))
+    ok = ok and rate_matches_partition_entropy(lc.one_round_quadrant_protocol())
     report(6, ok, "sum rate equals partition entropy for depths 1..12 and the one-round scheme")
 
 

@@ -720,3 +720,25 @@ def test_partition_show_deepest_fine_v_still_succeeds(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert len(json.loads(path.read_text(encoding="utf-8"))["cells"]) == 3 * 2**14 - 2
+
+
+def readme_block(heading):
+    """The first fenced block under ``## heading`` in README.md, fences removed."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_library_sketch_runs_and_prints_its_comments():
+    names = {}
+    exec(readme_block("Library sketch"), names)
+    tree, sub, rates = names["tree"], names["sub"], names["rates"]
+    assert repr(names["run_protocol"](tree, 0.6, 0.55)) == (
+        "Transcript(messages=(1, 1, 0, 0, 0, 0, 1, 0), output=1)"
+    )
+    assert names["sum_rate"](tree) == 3.9999999962747097
+    assert names["assemble_four_bits"]() == 4.0
+    assert names["minimize_entropy_ratio"]() == (0.5, 3.0)
+    assert isinstance(sub, engine.ProtocolTree)
+    assert abs(names["sum_rate"](sub) - 2.1258) <= 1e-4
+    assert abs(rates.R_bar - 2.7925) <= 1e-4 and abs(rates.N_bar - 1.3333) <= 1e-4

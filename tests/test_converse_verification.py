@@ -26,7 +26,6 @@ from latcomm import (
     side_conditional_entropy,
     sum_rate,
     satisfies_staircase_bounds,
-    rate_matches_partition_entropy,
 )
 from latcomm.protocol_engine import ProtocolTree
 
@@ -36,6 +35,7 @@ from oracles import (
     entropy_ratio_by_decimal,
     grid_protocol_min_entropy,
     grid_set_protocol_min_entropy,
+    rate_matches_partition_entropy,
     split_exchange_protocol,
 )
 

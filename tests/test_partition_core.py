@@ -56,6 +56,20 @@ def test_partition_entropy_examples():
     assert partition_entropy(single) == 0.0
 
 
+def test_entropy_bits_rejects_entries_that_are_not_finite():
+    assert entropy_bits([0.5, 0.0, 0.5, -1e-13]) == 1.0
+    with pytest.raises(ValueError, match="negative probability -0.5"):
+        entropy_bits([1.5, -0.5])
+    for probs in ([math.nan], [0.5, math.nan, 0.5], np.array([0.5, np.nan, 0.5])):
+        with pytest.raises(ValueError, match="not finite"):
+            entropy_bits(probs)
+    for probs in ([math.inf], [0.25, math.inf]):
+        with pytest.raises(ValueError, match="infinite"):
+            entropy_bits(probs)
+    with pytest.raises(ValueError, match="negative probability -inf"):
+        entropy_bits([-math.inf])
+
+
 def test_partition_validation_rejects_overlap_and_bad_area():
     with pytest.raises(ValueError, match="overlap"):
         LabeledPartition([[0.0, 0.6, 0.0, 1.0], [0.5, 0.9, 0.0, 1.0]], ["q", "q"])
@@ -274,6 +288,11 @@ def test_majorizes_examples():
     assert majorizes([0.5, 0.5], [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ValueError, match="totals"):
         majorizes([0.5, 0.25], [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="nonnegative"):
+        majorizes([1.5, -0.5], [1.0])
+    for p, q in (([math.nan], [1.0]), ([1.0], [math.nan]), ([math.inf], [1.0]), ([1.0], [-math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            majorizes(p, q)
 
 
 @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=10))

@@ -19,8 +19,6 @@ from latcomm import (
     run_protocol,
     sample_inputs,
     sum_rate,
-    trivial_protocol,
-    rate_matches_partition_entropy,
 )
 from latcomm.protocol_engine import ProtocolTree, _stopping_rounds
 
@@ -28,6 +26,8 @@ from oracles import (
     closed_form_truncated_bits,
     doubling_stopping_rounds,
     first_differ_round,
+    rate_matches_partition_entropy,
+    trivial_protocol,
     walk_totals,
 )
 
